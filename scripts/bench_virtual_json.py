@@ -28,7 +28,13 @@ The JSON written to --out maps bench name -> {sha256, lines, bytes,
 trace_events}, plus a toolchain-independent "observer_effect": "ok" marker
 that only appears if every check above passed.
 
+--expect FILE compares each bench's stdout sha256 with a committed JSON of
+the same shape (BENCH_virtual.json, BENCH_pressure.json at the repo root)
+and fails naming every bench whose fingerprint moved. --out is written
+first, so an intended change is adopted by copying it over the baseline.
+
 Usage: bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json
+                             [--expect BENCH_virtual.json]
 """
 
 import argparse
@@ -76,6 +82,9 @@ def main():
     ap.add_argument("--audit", default=None, metavar="MS", type=int,
                     help="run the cross-layer auditor every MS virtual ms, "
                          "forwarded to every bench as --audit=MS")
+    ap.add_argument("--expect", default=None, metavar="FILE",
+                    help="committed JSON whose per-bench sha256 every run "
+                         "must reproduce")
     args = ap.parse_args()
 
     extra = []
@@ -145,6 +154,19 @@ def main():
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {args.out} (all runs deterministic, tracing observer-effect-free)")
+
+    if args.expect:
+        with open(args.expect, encoding="utf-8") as f:
+            expected = json.load(f)
+        moved = [name for name in BENCHES
+                 if expected.get(name, {}).get("sha256") != result[name]["sha256"]]
+        for name in moved:
+            sys.stderr.write(f"bench_virtual: FAIL: {name}: stdout sha256 moved from "
+                             f"{expected.get(name, {}).get('sha256', 'none')} (in "
+                             f"{args.expect}) to {result[name]['sha256']}\n")
+        if moved:
+            return 1
+        print(f"all {len(BENCHES)} fingerprints match {args.expect}")
     return 0
 
 

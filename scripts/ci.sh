@@ -53,8 +53,11 @@ fi
 # the eight paper benches twice (identical output required), once more with
 # --trace (identical stdout required: tracing is observer-effect-free),
 # validates the Chrome-trace JSON through tools/traceview, and fingerprints
-# everything into build/BENCH_virtual.json.
-python3 scripts/bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json
+# everything into build/BENCH_virtual.json. --expect makes "same bytes" a
+# gate: every fingerprint must match the committed BENCH_virtual.json, and
+# a change that moves one must update that file and say why in CHANGES.md.
+python3 scripts/bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json \
+  --expect BENCH_virtual.json
 
 # Pressure soak: the same eight benches under an adversarial resource plan
 # (phys memory shrunk to ~12% at 1ms, swap clamped to less than half at
@@ -64,7 +67,7 @@ python3 scripts/bench_virtual_json.py --bindir build/bench --out build/BENCH_vir
 # deterministic as the happy path.
 python3 scripts/bench_virtual_json.py --bindir build/bench \
   --pressure '@1ms phys-=7000; @50ms swap=14200; @20s swap=32768; @30s phys+=5000' \
-  --out build/BENCH_pressure.json
+  --out build/BENCH_pressure.json --expect BENCH_pressure.json
 
 # Containment soak: the same eight benches once more with everything armed
 # at once — the adversarial pressure plan above, a seeded memory-error plan

@@ -4,9 +4,11 @@
 #include <set>
 #include <unordered_set>
 
+#include "src/phys/pagedaemon.h"
 #include "src/sim/annotations.h"
 #include "src/sim/assert.h"
 #include "src/sim/retry.h"
+#include "src/vm/range_ops.h"
 
 namespace bsdvm {
 
@@ -225,15 +227,8 @@ void BsdVm::TerminateObject(VmObject* obj) {
       // A poisoned page's bytes are garbage; dropping the write keeps the
       // coherent pre-write copy on disk.
       if (page->dirty && !page->poisoned) {
-        int err = obj->pager->PutPage(pm_, page, pgi);
-        if (err == sim::kErrIO) {
-          sim::RetryWithBackoff(
-              machine_,
-              {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-               &machine_.stats().pageout_retries},
-              [&] { return (err = obj->pager->PutPage(pm_, page, pgi)) != sim::kErrIO; },
-              [](int) {});
-        }
+        int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                      [&] { return obj->pager->PutPage(pm_, page, pgi); });
         if (err == sim::kErrIO) {
           ++machine_.stats().pageout_drops;
           if (machine_.tracer().enabled()) {
@@ -269,23 +264,8 @@ phys::Page* BsdVm::AllocPageInObject(VmObject* obj, std::uint64_t pgindex, bool 
 
 phys::Page* BsdVm::AllocPageReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                     bool zero) {
-  phys::Page* p = pm_.AllocPage(kind, owner, offset, zero);
-  if (p == nullptr) {
-    PageDaemon(pm_.free_target());
-    p = pm_.AllocPage(kind, owner, offset, zero);
-  }
-  if (p == nullptr) {
-    // Under sustained pressure one daemon pass may not recover enough: back
-    // off in virtual time and retry, bounded so true exhaustion still
-    // surfaces as a clean failure instead of a hang.
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_alloc_retries, machine_.cost().mem_retry_backoff_ns,
-         &machine_.stats().alloc_retries},
-        [&] { return (p = pm_.AllocPage(kind, owner, offset, zero)) != nullptr; },
-        [&](int) { PageDaemon(pm_.free_target()); });
-  }
-  return p;
+  return phys::AllocOrReclaim(pm_, config_.tuning.max_alloc_retries, kind, owner, offset, zero,
+                              [this] { PageDaemon(pm_.free_target()); });
 }
 
 void BsdVm::FreeObjectPage(phys::Page* p) {
@@ -367,11 +347,11 @@ void BsdVm::TryCollapse(VmObject* top) {
     VmObject* s = o->shadow;
     ++machine_.stats().collapse_attempts;
     machine_.Charge(machine_.cost().collapse_attempt_ns);
-    // Wired, busy, or loaned pages pin the chain: collapse must wait (the
-    // classic Mach restriction).
+    // Wired or loaned pages pin the chain: collapse must wait (the classic
+    // Mach restriction).
     bool pinned = false;
     for (const auto& [spgi, sp] : s->pages) {
-      if (sp->wire_count > 0 || sp->busy || sp->loan_count > 0) {
+      if (sp->wire_count > 0 || sp->loan_count > 0) {
         pinned = true;
         break;
       }
@@ -552,18 +532,9 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
   return sim::kOk;
 }
 
-VmMap::iterator BsdVm::ClipStartRef(VmMap& map, VmMap::iterator it, sim::Vaddr va) {
-  auto res = map.ClipStart(it, va);
-  if (res->object != nullptr) {
-    RefObject(res->object);
-  }
-  return res;
-}
-
-void BsdVm::ClipEndRef(VmMap& map, VmMap::iterator it, sim::Vaddr va) {
-  map.ClipEnd(it, va);
-  if (it->object != nullptr) {
-    RefObject(it->object);
+void BsdVm::RefClip(MapEntry& e) {
+  if (e.object != nullptr) {
+    RefObject(e.object);
   }
 }
 
@@ -583,21 +554,9 @@ int BsdVm::UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr en
     if (it->start >= end) {
       break;
     }
-    if (it->start < start) {
-      it = ClipStartRef(map, it, start);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    // Entry now fully inside [start, end).
+    it = map.ClipTo(it, start, end, [this](MapEntry& e) { RefClip(e); });
     if (it->wired_count > 0) {
-      for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (pte.has_value() && pte->wired) {
-          pm_.Unwire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, false);
-        }
-      }
+      kern::UnwirePages(as.pmap_, pm_, it->start, it->end);
     }
     as.pmap_.RemoveRange(it->start, it->end);
     if (it->object != nullptr) {
@@ -629,87 +588,22 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
 int BsdVm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_protect");
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (!sim::ProtIncludes(it->max_prot, prot)) {
-      map.Unlock();
-      return sim::kErrProt;
-    }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::ProtectRange(as.map_, as.pmap_, addr, len, prot,
+                            [this](MapEntry& e) { RefClip(e); });
 }
 
-int BsdVm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int BsdVm::SetInherit(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                       sim::Inherit inherit) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->inherit = inherit;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::SetRangeAttr(
+      static_cast<BsdAddressSpace&>(as).map_, addr, len, [this](MapEntry& e) { RefClip(e); },
+      [inherit](MapEntry& e) { e.inherit = inherit; });
 }
 
-int BsdVm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int BsdVm::SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                      sim::Advice advice) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->advice = advice;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::SetRangeAttr(
+      static_cast<BsdAddressSpace&>(as).map_, addr, len, [this](MapEntry& e) { RefClip(e); },
+      [advice](MapEntry& e) { e.advice = advice; });
 }
 
 int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -777,7 +671,7 @@ int BsdVm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len)
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
       std::uint64_t pgi = e.PageIndexOf(va);
       phys::Page* p = obj->LookupPage(pgi);
-      if (p != nullptr && p->wire_count == 0 && p->loan_count == 0 && !p->busy) {
+      if (p != nullptr && p->wire_count == 0 && p->loan_count == 0) {
         FreeObjectPage(p);
       }
       if (obj->pager != nullptr) {
@@ -822,102 +716,17 @@ int BsdVm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
 // ---------------------------------------------------------------------------
 // Wiring (§3.2): everything goes through the map, fragmenting entries.
 
-int BsdVm::WireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  if (it == map.entries().end()) {
-    map.Unlock();
-    return sim::kErrFault;
-  }
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    ++it->wired_count;
-    if (it->wired_count == 1) {
-      sim::Vaddr estart = it->start;
-      sim::Vaddr eend = it->end;
-      sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-      for (sim::Vaddr va = estart; va < eend; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (!pte.has_value()) {
-          // The entry is already marked wired, so the fault wires the page.
-          int err = FaultWithMapLocked(as, va, acc);
-          if (err != sim::kOk) {
-            map.Unlock();
-            return err;
-          }
-          pte = as.pmap_.Extract(va);
-          SIM_ASSERT(pte.has_value() && pte->wired);
-        } else if (!pte->wired) {
-          pm_.Wire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, true);
-        }
-      }
-      // Faulting may invalidate iterators (clips by nested ops do not occur
-      // here, but be conservative): re-find our entry.
-      it = map.LookupEntry(estart);
-      SIM_ASSERT(it != map.entries().end());
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+int BsdVm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<BsdAddressSpace&>(as_);
+  return kern::WireRange(
+      as.map_, as.pmap_, pm_, addr, len, [this](MapEntry& e) { RefClip(e); },
+      [&](sim::Vaddr va, sim::Access acc) { return FaultWithMapLocked(as, va, acc); });
 }
 
-int BsdVm::UnwireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    if (it->wired_count > 0) {
-      --it->wired_count;
-      if (it->wired_count == 0) {
-        for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-            as.pmap_.ChangeWiring(va, false);
-          }
-        }
-      }
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int BsdVm::Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return WireRange(static_cast<BsdAddressSpace&>(as), addr, len);
-}
-
-int BsdVm::Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return UnwireRange(static_cast<BsdAddressSpace&>(as), addr, len);
+int BsdVm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<BsdAddressSpace&>(as_);
+  return kern::UnwireRange(as.map_, as.pmap_, pm_, addr, len,
+                           [this](MapEntry& e) { RefClip(e); });
 }
 
 int BsdVm::WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
@@ -926,11 +735,11 @@ int BsdVm::WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t 
   // fragmenting the entries (§3.2).
   out->va = addr;
   out->len = len;
-  return WireRange(static_cast<BsdAddressSpace&>(as), addr, len);
+  return Wire(as, addr, len);
 }
 
 void BsdVm::UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) {
-  UnwireRange(static_cast<BsdAddressSpace&>(as), tw.va, tw.len);
+  Unwire(as, tw.va, tw.len);
 }
 
 int BsdVm::AllocProcResources(kern::ProcKernelResources* out) {
@@ -1270,89 +1079,59 @@ int BsdVm::FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
 
 std::size_t BsdVm::PageDaemon(std::size_t target_free) {
   sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "bsd_pagedaemon");
-  // Pageout-path allocations may dip into the emergency reserve: the daemon
-  // must make progress even at the min watermark (DESIGN.md §12).
-  phys::PageoutScope pressure_scope(pm_);
-  std::size_t freed = 0;
-  std::size_t guard = pm_.total_pages() * 4 + 64;
-  while (pm_.free_pages() < target_free && guard-- > 0) {
-    if (pm_.inactive_queue().empty()) {
-      // Refill the inactive queue from the head of the active queue.
-      std::size_t want = (target_free - pm_.free_pages()) * 2 + 4;
-      while (want-- > 0 && !pm_.active_queue().empty()) {
-        phys::Page* ap = pm_.active_queue().head();
-        ap->referenced = false;
-        pm_.Deactivate(ap);
-      }
-      if (pm_.inactive_queue().empty()) {
-        break;  // nothing reclaimable
-      }
-    }
-    phys::Page* p = pm_.inactive_queue().head();
-    if (p->poisoned) {
-      // Poisoned frames never reach the free list via the normal path:
-      // retire clean object pages now (backing store or zero fill refetches
-      // transparently) and park everything else off-queue — dirty ones are
-      // kill-traps for the fault path, and teardown retires them. Retired
-      // frames do not count toward `freed`.
-      machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
-      if (p->owner_kind == phys::OwnerKind::kBsdObject && !p->dirty && p->wire_count == 0 &&
-          p->loan_count == 0 && !p->busy) {
-        ++machine_.stats().poison_discards;
-        FreeObjectPage(p);
-      } else {
-        pm_.Dequeue(p);
-      }
-      continue;
-    }
-    if (p->referenced) {
-      p->referenced = false;
-      pm_.Activate(p);
-      continue;
-    }
-    if (p->wire_count > 0 || p->busy || p->loan_count > 0 ||
-        p->owner_kind != phys::OwnerKind::kBsdObject) {
-      pm_.Dequeue(p);
-      continue;
-    }
-    auto* obj = static_cast<VmObject*>(p->owner);
-    mmu_.PageProtect(p, sim::Prot::kNone);
-    if (p->dirty) {
-      if (obj->pager == nullptr) {
-        SIM_ASSERT(obj->internal_);
-        machine_.Charge(sim::CostCat::kAlloc, machine_.cost().pager_alloc_ns);
-        obj->pager = NewSwapPager();
-      }
-      int perr = obj->pager->PutPage(pm_, p, p->offset);
-      // Transient device errors get a bounded retry with doubling
-      // virtual-time backoff; the page stays dirty throughout, so giving
-      // up loses nothing.
-      if (perr == sim::kErrIO) {
-        sim::RetryWithBackoff(
-            machine_,
-            {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-             &machine_.stats().pageout_retries},
-            [&] { return (perr = obj->pager->PutPage(pm_, p, p->offset)) != sim::kErrIO; },
-            [](int) {});
-      }
-      if (perr != sim::kOk) {
-        pm_.Activate(p);  // swap full or I/O error; keep the page
-        continue;
-      }
-      // First pageout to swap is one of BSD VM's collapse triggers (§5.1).
-      TryCollapse(obj);
-      // The collapse may have freed or moved `p`; re-check before freeing.
-      if (p->owner_kind != phys::OwnerKind::kBsdObject || p->queue == phys::PageQueue::kFree) {
-        ++freed;
-        continue;
-      }
-      obj = static_cast<VmObject*>(p->owner);
-    }
-    obj->pages.erase(p->offset);
-    pm_.FreePage(p);
-    ++freed;
+  return phys::ScanQueues(
+      pm_, target_free, [this](phys::Page* p) { ContainQueuedPoison(p); },
+      [this](phys::Page* p) { return ReclaimPage(p); });
+}
+
+void BsdVm::ContainQueuedPoison(phys::Page* p) {
+  // Poisoned frames never reach the free list via the normal path: retire
+  // clean object pages now (backing store or zero fill refetches
+  // transparently) and park everything else off-queue — dirty ones are
+  // kill-traps for the fault path, and teardown retires them. Retired
+  // frames do not count as freed.
+  if (p->owner_kind == phys::OwnerKind::kBsdObject && !p->dirty && p->wire_count == 0 &&
+      p->loan_count == 0) {
+    ++machine_.stats().poison_discards;
+    FreeObjectPage(p);
+  } else {
+    pm_.Dequeue(p);
   }
-  return freed;
+}
+
+std::size_t BsdVm::ReclaimPage(phys::Page* p) {
+  if (p->owner_kind != phys::OwnerKind::kBsdObject) {
+    pm_.Dequeue(p);
+    return 0;
+  }
+  auto* obj = static_cast<VmObject*>(p->owner);
+  mmu_.PageProtect(p, sim::Prot::kNone);
+  if (p->dirty) {
+    if (obj->pager == nullptr) {
+      SIM_ASSERT(obj->internal_);
+      machine_.Charge(sim::CostCat::kAlloc, machine_.cost().pager_alloc_ns);
+      obj->pager = NewSwapPager();
+    }
+    // Transient device errors get a bounded retry with doubling
+    // virtual-time backoff; the page stays dirty throughout, so giving
+    // up loses nothing.
+    int perr = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                   [&] { return obj->pager->PutPage(pm_, p, p->offset); });
+    if (perr != sim::kOk) {
+      pm_.Activate(p);  // swap full or I/O error; keep the page
+      return 0;
+    }
+    // First pageout to swap is one of BSD VM's collapse triggers (§5.1).
+    TryCollapse(obj);
+    // The collapse may have freed or moved `p`; re-check before freeing.
+    if (p->owner_kind != phys::OwnerKind::kBsdObject || p->queue == phys::PageQueue::kFree) {
+      return 1;
+    }
+    obj = static_cast<VmObject*>(p->owner);
+  }
+  obj->pages.erase(p->offset);
+  pm_.FreePage(p);
+  return 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -134,12 +134,15 @@ class BsdVm : public kern::VmSystem {
   bool CanBypass(const VmObject* o, const VmObject* s) const;
 
   phys::Page* AllocPageInObject(VmObject* obj, std::uint64_t pgindex, bool zero);
-  // AllocPage with pagedaemon reclaim and bounded backoff retries
-  // (mirrors Uvm::AllocPageOrReclaim); nullptr on true exhaustion.
+  // phys::AllocOrReclaim with this VM's pagedaemon; nullptr on true
+  // exhaustion.
   phys::Page* AllocPageReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                bool zero);
   // Remove a page from its object and free the frame (mappings removed).
   void FreeObjectPage(phys::Page* p);
+  // The per-VM halves of phys::ScanQueues: one page per pageout I/O (§6).
+  void ContainQueuedPoison(phys::Page* p);
+  std::size_t ReclaimPage(phys::Page* p);
 
   // --- hwpoison containment (DESIGN.md §13) ---
   // A fault found a poisoned resident page in the chain. Clean pages are
@@ -157,13 +160,8 @@ class BsdVm : public kern::VmSystem {
   int FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
   int FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
 
-  // Wiring guts shared by Wire()/WireTransient().
-  int WireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-  int UnwireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-
-  // Clip helpers that maintain object reference counts.
-  VmMap::iterator ClipStartRef(VmMap& map, VmMap::iterator it, sim::Vaddr va);
-  void ClipEndRef(VmMap& map, VmMap::iterator it, sim::Vaddr va);
+  // The reference a clip adds: the new half shares the object.
+  void RefClip(MapEntry& e);
 
   int UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr end,
                        std::vector<VmObject*>* drop);

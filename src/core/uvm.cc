@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/phys/pagedaemon.h"
 #include "src/sim/annotations.h"
 #include "src/sim/assert.h"
 #include "src/sim/retry.h"
+#include "src/vm/range_ops.h"
 
 namespace uvm {
 
@@ -235,23 +237,8 @@ void Uvm::ReleaseObjectPage(phys::Page* p) {
 
 phys::Page* Uvm::AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                     bool zero) {
-  phys::Page* p = pm_.AllocPage(kind, owner, offset, zero);
-  if (p == nullptr) {
-    PageDaemon(pm_.free_target());
-    p = pm_.AllocPage(kind, owner, offset, zero);
-  }
-  if (p == nullptr) {
-    // Under sustained pressure one daemon pass may not recover enough: back
-    // off in virtual time and retry, bounded so true exhaustion still
-    // surfaces as a clean failure instead of a hang.
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_alloc_retries, machine_.cost().mem_retry_backoff_ns,
-         &machine_.stats().alloc_retries},
-        [&] { return (p = pm_.AllocPage(kind, owner, offset, zero)) != nullptr; },
-        [&](int) { PageDaemon(pm_.free_target()); });
-  }
-  return p;
+  return phys::AllocOrReclaim(pm_, config_.tuning.max_alloc_retries, kind, owner, offset, zero,
+                              [this] { PageDaemon(pm_.free_target()); });
 }
 
 // ---------------------------------------------------------------------------
@@ -358,24 +345,12 @@ int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& d
   return sim::kOk;
 }
 
-UvmMap::iterator Uvm::ClipStartRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va) {
-  auto res = map.ClipStart(it, va);
-  if (res->uobj != nullptr) {
-    res->uobj->pgops->Reference(*this, *res->uobj);
+void Uvm::RefClip(UvmMapEntry& e) {
+  if (e.uobj != nullptr) {
+    e.uobj->pgops->Reference(*this, *e.uobj);
   }
-  if (res->amap != nullptr) {
-    RefAmap(res->amap);
-  }
-  return res;
-}
-
-void Uvm::ClipEndRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va) {
-  map.ClipEnd(it, va);
-  if (it->uobj != nullptr) {
-    it->uobj->pgops->Reference(*this, *it->uobj);
-  }
-  if (it->amap != nullptr) {
-    RefAmap(it->amap);
+  if (e.amap != nullptr) {
+    RefAmap(e.amap);
   }
 }
 
@@ -436,20 +411,9 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
         }
       }
     }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
+    it = map.ClipTo(it, addr, end, [this](UvmMapEntry& e) { RefClip(e); });
     if (it->wired_count > 0) {
-      for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (pte.has_value() && pte->wired) {
-          pm_.Unwire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, false);
-        }
-      }
+      kern::UnwirePages(as.pmap_, pm_, it->start, it->end);
     }
     as.pmap_.RemoveRange(it->start, it->end);
     removed.push_back(*it);
@@ -468,87 +432,22 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
 
 int Uvm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (!sim::ProtIncludes(it->max_prot, prot)) {
-      map.Unlock();
-      return sim::kErrProt;
-    }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::ProtectRange(as.map_, as.pmap_, addr, len, prot,
+                            [this](UvmMapEntry& e) { RefClip(e); });
 }
 
-int Uvm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int Uvm::SetInherit(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                     sim::Inherit inherit) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->inherit = inherit;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::SetRangeAttr(
+      static_cast<UvmAddressSpace&>(as).map_, addr, len, [this](UvmMapEntry& e) { RefClip(e); },
+      [inherit](UvmMapEntry& e) { e.inherit = inherit; });
 }
 
-int Uvm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int Uvm::SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                    sim::Advice advice) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->advice = advice;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::SetRangeAttr(
+      static_cast<UvmAddressSpace&>(as).map_, addr, len, [this](UvmMapEntry& e) { RefClip(e); },
+      [advice](UvmMapEntry& e) { e.advice = advice; });
 }
 
 int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -666,101 +565,18 @@ int Uvm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
 // ---------------------------------------------------------------------------
 // Wiring (§3.2)
 
-int Uvm::WireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  if (it == map.entries().end()) {
-    map.Unlock();
-    return sim::kErrFault;
-  }
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    ++it->wired_count;
-    if (it->wired_count == 1) {
-      sim::Vaddr estart = it->start;
-      sim::Vaddr eend = it->end;
-      sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-      for (sim::Vaddr va = estart; va < eend; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (!pte.has_value()) {
-          // The entry is already marked wired, so the fault wires the page.
-          int err = FaultWithMapLocked(as, va, acc);
-          if (err != sim::kOk) {
-            map.Unlock();
-            return err;
-          }
-          pte = as.pmap_.Extract(va);
-          SIM_ASSERT(pte.has_value() && pte->wired);
-        } else if (!pte->wired) {
-          pm_.Wire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, true);
-        }
-      }
-      it = map.LookupEntry(estart);
-      SIM_ASSERT(it != map.entries().end());
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int Uvm::UnwireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    if (it->wired_count > 0) {
-      --it->wired_count;
-      if (it->wired_count == 0) {
-        for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-            as.pmap_.ChangeWiring(va, false);
-          }
-        }
-      }
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int Uvm::Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
+int Uvm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // mlock(2): the one wiring case that must live in the map (§3.2).
-  return WireRange(static_cast<UvmAddressSpace&>(as), addr, len);
+  auto& as = static_cast<UvmAddressSpace&>(as_);
+  return kern::WireRange(
+      as.map_, as.pmap_, pm_, addr, len, [this](UvmMapEntry& e) { RefClip(e); },
+      [&](sim::Vaddr va, sim::Access acc) { return FaultWithMapLocked(as, va, acc); });
 }
 
-int Uvm::Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return UnwireRange(static_cast<UvmAddressSpace&>(as), addr, len);
+int Uvm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<UvmAddressSpace&>(as_);
+  return kern::UnwireRange(as.map_, as.pmap_, pm_, addr, len,
+                           [this](UvmMapEntry& e) { RefClip(e); });
 }
 
 int Uvm::WireTransient(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
@@ -1205,8 +1021,9 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
     // --- Lower layer: the backing object ---
     std::uint64_t pgi = e.ObjIndexOf(va);
     {
-      // Object-layer lock, dropped before any pagein I/O below (UVM marks
-      // the page busy across I/O rather than holding the object lock).
+      // Object-layer lock, dropped before any pagein I/O below (the real
+      // UVM marks the page PG_BUSY across I/O rather than holding the
+      // object lock).
       sim::LockGuard obj_g(object_lock_);
       page = e.uobj->LookupPage(pgi);
     }
@@ -1357,7 +1174,7 @@ void Uvm::MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va)
     phys::Page* page = nullptr;
     if (e.amap != nullptr) {
       Anon* a = e.amap->Get(e.SlotOf(va));
-      if (a != nullptr && a->page != nullptr && !a->page->busy && !a->page->poisoned) {
+      if (a != nullptr && a->page != nullptr && !a->page->poisoned) {
         page = a->page;
       }
     }
@@ -1366,7 +1183,7 @@ void Uvm::MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va)
       bool amap_covers = e.amap != nullptr && e.amap->Get(e.SlotOf(va)) != nullptr;
       if (!amap_covers) {
         phys::Page* op = e.uobj->LookupPage(e.ObjIndexOf(va));
-        if (op != nullptr && !op->busy && !op->poisoned) {
+        if (op != nullptr && !op->poisoned) {
           page = op;
         }
       }
@@ -1444,7 +1261,7 @@ std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
     while (p != nullptr && cluster.size() < config_.pageout_cluster) {
       phys::Page* next = p->q_next;
       if (p->owner_kind == phys::OwnerKind::kUvmAnon && p->dirty && !p->referenced &&
-          p->wire_count == 0 && !p->busy && p->loan_count == 0 && !p->poisoned) {
+          p->wire_count == 0 && p->loan_count == 0 && !p->poisoned) {
         cluster.push_back(p);
       }
       p = next;
@@ -1477,15 +1294,8 @@ std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
   // authoritative copy, so a failed pageout can never lose data. Transient
   // errors are retried with doubling virtual-time backoff; permanent slot
   // errors are remapped to a fresh run by the swap layer.
-  int err = swap_.WriteRunRemapping(&base, datas);
-  if (err == sim::kErrIO) {
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-         &machine_.stats().pageout_retries},
-        [&] { return (err = swap_.WriteRunRemapping(&base, datas)) != sim::kErrIO; },
-        [](int) {});
-  }
+  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                [&] { return swap_.WriteRunRemapping(&base, datas); });
   if (err != sim::kOk) {
     if (base != swp::kNoSlot) {
       swap_.FreeRange(base, cluster.size());
@@ -1518,8 +1328,7 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
     std::uint64_t idx = first->offset;
     while (run.size() < config_.vnode_read_cluster) {
       phys::Page* p = obj->LookupPage(idx + 1);
-      if (p == nullptr || !p->dirty || p->wire_count > 0 || p->busy || p->loan_count > 0 ||
-          p->poisoned) {
+      if (p == nullptr || !p->dirty || p->wire_count > 0 || p->loan_count > 0 || p->poisoned) {
         break;
       }
       run.push_back(p);
@@ -1529,15 +1338,8 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
   for (phys::Page* p : run) {
     mmu_.PageProtect(p, sim::Prot::kNone);
   }
-  int err = obj->pgops->Put(*this, *obj, run);
-  if (err == sim::kErrIO) {
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-         &machine_.stats().pageout_retries},
-        [&] { return (err = obj->pgops->Put(*this, *obj, run)) != sim::kErrIO; },
-        [](int) {});
-  }
+  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                [&] { return obj->pgops->Put(*this, *obj, run); });
   if (err != sim::kOk) {
     for (phys::Page* p : run) {
       pm_.Activate(p);  // pages stay dirty on the object; retried later
@@ -1553,86 +1355,56 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
 
 std::size_t Uvm::PageDaemon(std::size_t target_free) {
   sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "uvm_pagedaemon");
-  phys::PageoutScope pressure_scope(pm_);  // daemon allocs may use the reserve
-  std::size_t freed = 0;
-  std::size_t guard = pm_.total_pages() * 4 + 64;
-  while (pm_.free_pages() < target_free && guard-- > 0) {
-    if (pm_.inactive_queue().empty()) {
-      std::size_t want = (target_free - pm_.free_pages()) * 2 + 4;
-      while (want-- > 0 && !pm_.active_queue().empty()) {
-        phys::Page* ap = pm_.active_queue().head();
-        ap->referenced = false;
-        pm_.Deactivate(ap);
-      }
-      if (pm_.inactive_queue().empty()) {
-        break;
-      }
-    }
-    phys::Page* p = pm_.inactive_queue().head();
-    if (p->poisoned) {
-      // Checked before the reference bit: a poisoned frame must leave
-      // circulation, not get another lap of the queues. Clean pages are
-      // discarded (retired, a refault refetches); dirty pages are parked
-      // off-queue so a later fault discovers the loss and kills the
-      // toucher — the daemon never pages out poisoned data.
-      machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
-      if (p->dirty || p->owner_kind == phys::OwnerKind::kNone ||
-          p->owner_kind == phys::OwnerKind::kKernel) {
-        pm_.Dequeue(p);
-      } else if (p->owner_kind == phys::OwnerKind::kUvmAnon) {
-        ++machine_.stats().poison_discards;
-        static_cast<Anon*>(p->owner)->page = nullptr;
-        mmu_.PageProtect(p, sim::Prot::kNone);
-        pm_.FreePage(p);  // retires; the frame never reaches the free list
-      } else {
-        ++machine_.stats().poison_discards;
-        ReleaseObjectPage(p);
-      }
-      continue;
-    }
-    if (p->referenced) {
-      p->referenced = false;
-      pm_.Activate(p);
-      continue;
-    }
-    if (p->wire_count > 0 || p->busy || p->loan_count > 0) {
-      pm_.Dequeue(p);
-      continue;
-    }
-    switch (p->owner_kind) {
-      case phys::OwnerKind::kUvmAnon: {
-        auto* anon = static_cast<Anon*>(p->owner);
-        if (!p->dirty) {
-          // A clean anon page either has a valid swap copy or was never
-          // written (zero-fill); both refault correctly.
-          mmu_.PageProtect(p, sim::Prot::kNone);
-          anon->page = nullptr;
-          pm_.FreePage(p);
-          ++freed;
-        } else {
-          std::size_t n = PageOutAnonCluster(p);
-          if (n == 0) {
-            pm_.Activate(p);  // swap full or I/O error; retry later
-          }
-          freed += n;
-        }
-        break;
-      }
-      case phys::OwnerKind::kUvmObject: {
-        if (!p->dirty) {
-          ReleaseObjectPage(p);
-          ++freed;
-        } else {
-          freed += PageOutObjectRun(p);
-        }
-        break;
-      }
-      default:
-        pm_.Dequeue(p);
-        break;
-    }
+  return phys::ScanQueues(
+      pm_, target_free, [this](phys::Page* p) { ContainQueuedPoison(p); },
+      [this](phys::Page* p) { return ReclaimPage(p); });
+}
+
+void Uvm::ContainQueuedPoison(phys::Page* p) {
+  // Clean pages are discarded (retired; a refault refetches). Dirty pages
+  // are parked off-queue so a later fault discovers the loss and kills the
+  // toucher — the daemon never pages out poisoned data.
+  if (p->dirty || p->owner_kind == phys::OwnerKind::kNone ||
+      p->owner_kind == phys::OwnerKind::kKernel) {
+    pm_.Dequeue(p);
+    return;
   }
-  return freed;
+  ++machine_.stats().poison_discards;
+  if (p->owner_kind == phys::OwnerKind::kUvmAnon) {
+    static_cast<Anon*>(p->owner)->page = nullptr;
+    mmu_.PageProtect(p, sim::Prot::kNone);
+    pm_.FreePage(p);  // retires; the frame never reaches the free list
+  } else {
+    ReleaseObjectPage(p);
+  }
+}
+
+std::size_t Uvm::ReclaimPage(phys::Page* p) {
+  switch (p->owner_kind) {
+    case phys::OwnerKind::kUvmAnon:
+      if (p->dirty) {
+        std::size_t n = PageOutAnonCluster(p);
+        if (n == 0) {
+          pm_.Activate(p);  // swap full or I/O error; retry later
+        }
+        return n;
+      }
+      // A clean anon page either has a valid swap copy or was never
+      // written (zero-fill); both refault correctly.
+      mmu_.PageProtect(p, sim::Prot::kNone);
+      static_cast<Anon*>(p->owner)->page = nullptr;
+      pm_.FreePage(p);
+      return 1;
+    case phys::OwnerKind::kUvmObject:
+      if (p->dirty) {
+        return PageOutObjectRun(p);
+      }
+      ReleaseObjectPage(p);
+      return 1;
+    default:
+      pm_.Dequeue(p);
+      return 0;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1808,12 +1580,7 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
 
   auto it = smap.LookupEntry(src_va);
   while (it != smap.entries().end() && it->start < src_end) {
-    if (it->start < src_va) {
-      it = ClipStartRef(smap, it, src_va);
-    }
-    if (it->end > src_end) {
-      ClipEndRef(smap, it, src_end);
-    }
+    it = smap.ClipTo(it, src_va, src_end, [this](UvmMapEntry& e) { RefClip(e); });
     UvmMapEntry ce = *it;
     ce.wired_count = 0;
     sim::Vaddr rel = it->start - src_va;

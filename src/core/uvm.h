@@ -146,7 +146,7 @@ class Uvm : public kern::VmSystem {
   // alongside the stats block on every object it initializes).
   sim::PoolResource& pagestore_pool() { return pagestore_chunk_pool_; }
 
-  // Page allocation with pagedaemon fallback (used by pagers too).
+  // phys::AllocOrReclaim with this VM's pagedaemon (used by pagers too).
   phys::Page* AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                  bool zero);
 
@@ -205,16 +205,14 @@ class Uvm : public kern::VmSystem {
   phys::Page* BreakLoan(phys::Page* old_page, phys::OwnerKind kind, void* owner,
                         sim::ObjOffset offset);
 
-  // --- wiring guts ---
-  int WireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-  int UnwireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-
-  // --- map helpers (reference-maintaining clips) ---
-  UvmMap::iterator ClipStartRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va);
-  void ClipEndRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va);
+  // --- map helpers ---
+  // The references a clip adds: the new half shares the amap and the uobj.
+  void RefClip(UvmMapEntry& e);
   void DropEntryRefs(UvmMapEntry& e);
 
-  // --- pageout ---
+  // --- pageout: the per-VM halves of phys::ScanQueues ---
+  void ContainQueuedPoison(phys::Page* p);
+  std::size_t ReclaimPage(phys::Page* p);
   std::size_t PageOutAnonCluster(phys::Page* first);
   std::size_t PageOutObjectRun(phys::Page* first);
 

@@ -217,14 +217,8 @@ void UvmVnode::Terminate(vfs::Vnode& vnode) {
     if (r.empty()) {
       return;
     }
-    int err = FlushRun(vm, *this, r);
-    if (err == sim::kErrIO) {
-      sim::RetryWithBackoff(
-          vm.machine(),
-          {vm.config().tuning.max_pageout_retries, vm.machine().cost().io_retry_backoff_ns,
-           &vm.machine().stats().pageout_retries},
-          [&] { return (err = FlushRun(vm, *this, r)) != sim::kErrIO; }, [](int) {});
-    }
+    int err = sim::RetryPageoutIo(vm.machine(), vm.config().tuning.max_pageout_retries,
+                                  [&] { return FlushRun(vm, *this, r); });
     if (err == sim::kErrIO) {
       vm.machine().stats().pageout_drops += r.size();
       if (vm.machine().tracer().enabled()) {

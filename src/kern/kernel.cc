@@ -290,7 +290,7 @@ int Kernel::Access(Proc* p, sim::Vaddr va, std::uint64_t len, bool write, std::b
     // Keep the active queue in true recency order (the simulator's stand-in
     // for reference-bit sampling by the clock hands). This also rescues
     // pages parked off-queue by a failed pageout.
-    if (page->wire_count == 0 && !page->busy) {
+    if (page->wire_count == 0) {
       pm_.Activate(page);
     }
     auto data = pm_.Data(page);

@@ -13,7 +13,7 @@ namespace phys {
 
 // Which paging queue a page currently sits on.
 enum class PageQueue : std::uint8_t {
-  kNone,      // wired or busy, off all queues
+  kNone,      // wired, parked, or never queued
   kFree,
   kActive,
   kInactive,
@@ -43,7 +43,6 @@ struct Page {
   std::uint16_t loan_count = 0;  // UVM page loanout (§7)
   bool dirty = false;
   bool referenced = false;
-  bool busy = false;  // I/O in progress
 
   // Memory-error (hwpoison) state, DESIGN.md §13. A poisoned frame suffered
   // an uncorrectable memory error: its contents are lost, it must never be

@@ -140,7 +140,6 @@ Page* PhysMem::AllocPage(OwnerKind kind, void* owner, sim::ObjOffset offset, boo
   p->loan_count = 0;
   p->dirty = false;
   p->referenced = false;
-  p->busy = false;
   if (zero) {
     ZeroPage(p);
   }
@@ -172,7 +171,6 @@ void PhysMem::FreePage(Page* p) {
   p->owner = nullptr;
   p->offset = 0;
   p->dirty = false;
-  p->busy = false;
   p->queue = PageQueue::kFree;
   free_.PushTail(p);
   // Absorb one frame of any outstanding balloon deficit; repeated frees
@@ -370,7 +368,6 @@ void PhysMem::RetirePageLocked(Page* p) {
   p->owner = nullptr;
   p->offset = 0;
   p->dirty = false;
-  p->busy = false;
   ++retired_count_;
 }
 

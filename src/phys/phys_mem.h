@@ -104,7 +104,7 @@ class PhysMem {
   // Queue management.
   void Activate(Page* p);    // move to tail of active queue
   void Deactivate(Page* p);  // move to tail of inactive queue
-  void Dequeue(Page* p);     // remove from any queue (e.g. while busy)
+  void Dequeue(Page* p);     // remove from any queue (park off-queue)
 
   // Wiring. A wired page is removed from the paging queues; unwiring a page
   // back to wire_count zero re-activates it.

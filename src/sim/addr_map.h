@@ -312,6 +312,23 @@ class AddrMap {
     InvalidateHints();
   }
 
+  // Clip `it` to [start, end): a ClipStart when it begins below `start`, a
+  // ClipEnd when it runs past `end`. Each clip leaves two entries sharing
+  // one amap/object, so ref(entry) runs after it to take the extra
+  // reference (the one per-VM part). Returns the entry inside the range.
+  template <typename Ref>
+  iterator ClipTo(iterator it, Vaddr start, Vaddr end, Ref&& ref) {
+    if (it->start < start) {
+      it = ClipStart(it, start);
+      ref(*it);
+    }
+    if (it->end > end) {
+      ClipEnd(it, end);
+      ref(*it);
+    }
+    return it;
+  }
+
   void EraseEntry(iterator it) {
     machine_.Charge(machine_.cost().map_entry_free_ns);
     IndexErase(IndexOfExact(it->start));

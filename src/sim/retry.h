@@ -4,7 +4,7 @@
 // charging a doubling virtual-time backoff, running a recovery action
 // (usually a pagedaemon pass) and re-attempting. This header is the single
 // copy; poison re-fetch and the pageout retry paths reuse it instead of
-// adding more.
+// adding more; RetryPageoutIo is the one pageout-I/O schedule built on it.
 #ifndef SRC_SIM_RETRY_H_
 #define SRC_SIM_RETRY_H_
 
@@ -44,6 +44,23 @@ bool RetryWithBackoff(Machine& machine, const RetryPolicy& policy, Op&& op, Reco
     }
   }
   return false;
+}
+
+// Every pageout write — the pagedaemons' runs and the terminate-time
+// flushes of both VMs — uses this schedule: make the first attempt, then
+// while it fails with kErrIO retry up to `max_retries` times with doubling
+// io_retry_backoff_ns, counting Stats::pageout_retries. Returns the last
+// attempt's result.
+template <typename Op>
+int RetryPageoutIo(Machine& machine, int max_retries, Op&& op) {
+  int err = op();
+  if (err == kErrIO) {
+    RetryWithBackoff(
+        machine,
+        {max_retries, machine.cost().io_retry_backoff_ns, &machine.stats().pageout_retries},
+        [&] { return (err = op()) != kErrIO; }, [](int) {});
+  }
+  return err;
 }
 
 }  // namespace sim

@@ -1,6 +1,7 @@
 // Map-operation tests run against both VM systems: placement, fixed
 // mappings, clipping on protect/inherit/advise, partial unmaps, max
-// protection, and address-space exhaustion.
+// protection, and address-space exhaustion. Both VMs run the range ops
+// through one shared walk (src/vm/range_ops.h); these pin what it does.
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
@@ -86,6 +87,53 @@ TEST_P(MapTest, ProtectAboveMaxProtFails) {
   attrs.max_prot = sim::Prot::kRead;
   ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, sim::kPageSize, attrs));
   EXPECT_EQ(sim::kErrProt, w.kernel->Mprotect(p, a, sim::kPageSize, sim::Prot::kReadWrite));
+}
+
+TEST_P(MapTest, ProtectStopsAtTheEntryItsMaxProtRefuses) {
+  kern::MapAttrs fixed;
+  fixed.fixed = true;
+  sim::Vaddr a = 0x1000'0000;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 4 * sim::kPageSize, fixed));
+  kern::MapAttrs ro = fixed;
+  ro.prot = sim::Prot::kRead;
+  ro.max_prot = sim::Prot::kRead;
+  sim::Vaddr b = a + 4 * sim::kPageSize;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &b, 4 * sim::kPageSize, ro));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 4 * sim::kPageSize, std::byte{3}));
+  std::size_t entries = p->as->EntryCount();
+  // From the middle of the first entry to the middle of the second, which
+  // cannot become executable.
+  EXPECT_EQ(sim::kErrProt,
+            w.kernel->Mprotect(p, a + 2 * sim::kPageSize, 4 * sim::kPageSize,
+                               sim::Prot::kReadExec));
+  // The first entry was clipped and keeps its change; the refused entry
+  // was not clipped at all.
+  EXPECT_EQ(entries + 1, p->as->EntryCount());
+  EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(p, a + sim::kPageSize, 1, std::byte{4}));
+  EXPECT_EQ(sim::kErrProt, w.kernel->TouchWrite(p, a + 2 * sim::kPageSize, 1, std::byte{4}));
+  std::vector<std::byte> byte(1);
+  ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 3 * sim::kPageSize, byte));
+  EXPECT_EQ(std::byte{3}, byte[0]);
+  w.vm->CheckInvariants();
+}
+
+TEST_P(MapTest, SetAdviceClipsInteriorSubrange) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 8 * sim::kPageSize, std::byte{6}));
+  std::size_t entries = p->as->EntryCount();
+  std::uint64_t frags = w.machine.stats().map_entry_fragmentations;
+  ASSERT_EQ(sim::kOk, w.kernel->Madvise(p, a + 2 * sim::kPageSize, 2 * sim::kPageSize,
+                                        sim::Advice::kSequential));
+  // Head, advised middle, tail: two clips.
+  EXPECT_EQ(entries + 2, p->as->EntryCount());
+  EXPECT_EQ(frags + 2, w.machine.stats().map_entry_fragmentations);
+  std::vector<std::byte> byte(1);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, byte));
+    EXPECT_EQ(std::byte{6}, byte[0]) << "page " << i;
+  }
+  w.vm->CheckInvariants();
 }
 
 TEST_P(MapTest, UnmapMiddleLeavesEnds) {

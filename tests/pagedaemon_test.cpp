@@ -1,11 +1,101 @@
-// Pagedaemon tests: reclaim policy (second chance, clean-first), clustered
-// anonymous pageout with swap-slot reassignment (§6), file-page writeback,
-// and refault correctness after reclaim.
+// Pagedaemon tests: the shared queue scan on its own (phys::ScanQueues),
+// reclaim policy (second chance, clean-first), clustered anonymous pageout
+// with swap-slot reassignment (§6), file-page writeback, and refault
+// correctness after reclaim.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/harness/world.h"
+#include "src/phys/pagedaemon.h"
 
 namespace {
+
+// The scan both VMs share, on a bare PhysMem with stub per-VM callables:
+// the policy either pagedaemon inherits, pinned without either VM.
+class ScanQueuesTest : public ::testing::Test {
+ protected:
+  // `n` kernel-owned pages on the inactive queue, oldest first.
+  std::vector<phys::Page*> Inactive(std::size_t n) {
+    std::vector<phys::Page*> pages;
+    for (std::size_t i = 0; i < n; ++i) {
+      pages.push_back(pm.AllocPage(phys::OwnerKind::kKernel, this, i, /*zero=*/false));
+      pm.Deactivate(pages.back());
+    }
+    return pages;
+  }
+
+  // Scan for one more free frame. Contained pages are parked, reclaimed
+  // pages freed; both are recorded in order.
+  std::size_t ScanForOne() {
+    return phys::ScanQueues(
+        pm, pm.free_pages() + 1,
+        [this](phys::Page* p) {
+          contained.push_back(p);
+          pm.Dequeue(p);
+        },
+        [this](phys::Page* p) {
+          reclaimed.push_back(p);
+          pm.FreePage(p);
+          return std::size_t{1};
+        });
+  }
+
+  sim::Machine machine;
+  phys::PhysMem pm{machine, 64};
+  std::vector<phys::Page*> contained;
+  std::vector<phys::Page*> reclaimed;
+};
+
+TEST_F(ScanQueuesTest, PoisonIsContainedBeforeTheReferenceBit) {
+  auto pages = Inactive(3);
+  pages[0]->referenced = true;
+  ASSERT_TRUE(pm.PoisonPfn(pages[0]->pfn));
+  sim::Nanoseconds before = machine.clock().now();
+  EXPECT_EQ(1u, ScanForOne());
+  EXPECT_EQ(std::vector<phys::Page*>{pages[0]}, contained);
+  EXPECT_TRUE(pages[0]->referenced);  // no second chance for a poisoned frame
+  EXPECT_EQ(std::vector<phys::Page*>{pages[1]}, reclaimed);
+  EXPECT_GE(machine.clock().now() - before, machine.cost().poison_contain_ns);
+}
+
+TEST_F(ScanQueuesTest, ReferencedPagesAreReactivated) {
+  auto pages = Inactive(3);
+  pages[0]->referenced = true;
+  EXPECT_EQ(1u, ScanForOne());
+  EXPECT_EQ(phys::PageQueue::kActive, pages[0]->queue);
+  EXPECT_FALSE(pages[0]->referenced);
+  EXPECT_EQ(std::vector<phys::Page*>{pages[1]}, reclaimed);
+  EXPECT_TRUE(contained.empty());
+}
+
+TEST_F(ScanQueuesTest, WiredAndLoanedPagesAreDequeuedUnreclaimed) {
+  auto pages = Inactive(3);
+  pages[0]->wire_count = 1;  // pinned while queued, as a racing wire leaves it
+  pages[1]->loan_count = 1;
+  EXPECT_EQ(1u, ScanForOne());
+  EXPECT_EQ(phys::PageQueue::kNone, pages[0]->queue);
+  EXPECT_EQ(phys::PageQueue::kNone, pages[1]->queue);
+  EXPECT_EQ(std::vector<phys::Page*>{pages[2]}, reclaimed);
+  pages[0]->wire_count = 0;
+  pages[1]->loan_count = 0;
+}
+
+TEST_F(ScanQueuesTest, ReclaimThatFreesNothingStillReturns) {
+  Inactive(8);
+  std::size_t calls = 0;
+  // Every reclaim fails and re-activates its page, like a full swap device:
+  // only the guard ends the scan, after four laps of memory plus 64 steps.
+  std::size_t freed = phys::ScanQueues(
+      pm, pm.total_pages(), [](phys::Page*) { FAIL() << "nothing is poisoned"; },
+      [&](phys::Page* p) {
+        ++calls;
+        pm.Activate(p);
+        return std::size_t{0};
+      });
+  EXPECT_EQ(0u, freed);
+  EXPECT_EQ(pm.total_pages() * 4 + 64, calls);
+}
 
 using harness::VmKind;
 using harness::World;

@@ -68,4 +68,23 @@ TEST(RetryTest, RecoverRunsBeforeEachAttempt) {
   EXPECT_TRUE(ok) << "recover must run before the attempt it precedes";
 }
 
+TEST(RetryTest, PageoutIoRetriesOnlyTransientErrorsAfterAFreeFirstTry) {
+  sim::Machine m;
+  const sim::Nanoseconds backoff = m.cost().io_retry_backoff_ns;
+  std::vector<int> results = {sim::kErrIO, sim::kErrIO, sim::kErrNoSwap, sim::kOk};
+  std::size_t calls = 0;
+  int err = sim::RetryPageoutIo(m, 5, [&] { return results[calls++]; });
+  // Two EIOs retried, then a non-I/O error ends the schedule.
+  EXPECT_EQ(sim::kErrNoSwap, err);
+  EXPECT_EQ(3u, calls);
+  EXPECT_EQ(2u, m.stats().pageout_retries);
+  EXPECT_EQ(backoff + 2 * backoff, m.clock().now());
+
+  sim::Machine fresh;
+  calls = 0;
+  EXPECT_EQ(sim::kOk, sim::RetryPageoutIo(fresh, 5, [&] { return results[3 + calls++]; }));
+  EXPECT_EQ(0u, fresh.stats().pageout_retries);
+  EXPECT_EQ(0, fresh.clock().now());
+}
+
 }  // namespace

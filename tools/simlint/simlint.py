@@ -50,14 +50,11 @@ Five rule families (see DESIGN.md §10, §12–§15):
                                         restore at an operation boundary
                                         (DESIGN.md §16)
 
-Engine: libclang (python bindings) refines the unordered-iteration rule when
-available; everything else — and everything, when libclang is absent — runs
-on a comment/string-stripped token scanner. Both engines honour the escape
-hatches from src/sim/annotations.h (SIM_ORDERED_OK, SIM_HOST_TIME_OK,
-SIM_NO_CHARGE_OK, SIM_POOL_FATAL_OK, SIM_POOL_ALLOC_OK,
+Engine: every rule runs on a comment/string-stripped token scanner. It
+honours the escape hatches from src/sim/annotations.h (SIM_ORDERED_OK,
+SIM_HOST_TIME_OK, SIM_NO_CHARGE_OK, SIM_POOL_FATAL_OK, SIM_POOL_ALLOC_OK,
 SIM_POISON_WRITE_OK, SIM_LOCK_CHARGE_OK, SIM_LOCK_BALANCE_OK,
-SIM_SCHED_SWITCH_OK): a finding
-is suppressed when the matching token appears on the flagged line or the
+SIM_SCHED_SWITCH_OK): a finding is suppressed when the matching token appears on the flagged line or the
 two lines above it (SIM_NO_CHARGE_OK anywhere in the flagged function
 body).
 
@@ -505,7 +502,7 @@ class Repo:
 
 
 # --------------------------------------------------------------------------
-# Rules (token engine)
+# Rules
 
 UNORDERED_DECL_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\s*<")
 
@@ -1023,60 +1020,6 @@ def rule_layering(repo: Repo) -> list:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang refinement of the unordered-iteration rule
-
-def clang_unordered_iter(repo: Repo):
-    """AST-accurate replacement for rule_unordered_iter. Returns None when
-    libclang is unavailable or fails, in which case the token rule is used."""
-    try:
-        from clang import cindex  # type: ignore
-
-        index = cindex.Index.create()
-    except Exception:
-        return None
-    findings = []
-    args = ["-x", "c++", "-std=c++20", "-I", repo.root]
-    try:
-        for rel, sf in sorted(repo.files.items()):
-            if not rel.startswith("src/") or not rel.endswith((".cc", ".cpp")):
-                continue
-            tu = index.parse(os.path.join(repo.root, rel), args=args)
-
-            def walk(cur):
-                if cur.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                    children = list(cur.get_children())
-                    if len(children) >= 2:
-                        rng = children[-2]
-                        t = rng.type.spelling if rng.type else ""
-                        if "unordered_" in t:
-                            loc = cur.location
-                            if loc.file and os.path.relpath(
-                                loc.file.name, repo.root
-                            ).replace(os.sep, "/") in repo.files:
-                                findings.append(
-                                    Finding(
-                                        rule="det-unordered-iter",
-                                        path=os.path.relpath(loc.file.name, repo.root).replace(
-                                            os.sep, "/"
-                                        ),
-                                        line=loc.line,
-                                        message=(
-                                            f"range-for over unordered container (type '{t}'): "
-                                            "iteration order is host-hash dependent; sort first "
-                                            "or annotate SIM_ORDERED_OK(reason)"
-                                        ),
-                                    )
-                                )
-                for ch in cur.get_children():
-                    walk(ch)
-
-            walk(tu.cursor)
-    except Exception:
-        return None
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 
 def normalize(sf: SourceFile, line: int) -> str:
@@ -1085,17 +1028,9 @@ def normalize(sf: SourceFile, line: int) -> str:
     return ""
 
 
-def collect_findings(repo: Repo, engine: str) -> list:
+def collect_findings(repo: Repo) -> list:
     findings = []
-    unordered = None
-    if engine in ("auto", "clang"):
-        unordered = clang_unordered_iter(repo)
-        if unordered is None and engine == "clang":
-            print("simlint: libclang engine requested but unavailable", file=sys.stderr)
-            sys.exit(2)
-    if unordered is None:
-        unordered = rule_unordered_iter(repo)
-    findings.extend(unordered)
+    findings.extend(rule_unordered_iter(repo))
     findings.extend(rule_ptr_container(repo))
     findings.extend(rule_host_nondet(repo))
     findings.extend(rule_cost_no_charge(repo))
@@ -1159,7 +1094,6 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", default=None, help="baseline JSON (default tools/simlint/baseline.json)")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline from current findings")
-    ap.add_argument("--engine", choices=("auto", "token", "clang"), default="auto")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)
@@ -1175,7 +1109,7 @@ def main(argv=None) -> int:
     baseline_path = args.baseline or os.path.join(root, "tools", "simlint", "baseline.json")
 
     repo = Repo(root)
-    findings = collect_findings(repo, args.engine)
+    findings = collect_findings(repo)
 
     # Scope filter: context always comes from the full tree; --diff / file
     # arguments only restrict which files are *reported*.

@@ -32,9 +32,7 @@ class SimlintFixtureTest(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
         repo = simlint.Repo(FIXTURES)
-        # Token engine only: fixtures must behave identically with or without
-        # libclang installed.
-        findings = simlint.collect_findings(repo, engine="token")
+        findings = simlint.collect_findings(repo)
         cls.found = {(f.rule, f.path, f.line) for f in findings}
         cls.findings = findings
 
@@ -119,14 +117,11 @@ class SimlintFixtureTest(unittest.TestCase):
     def test_cli_exit_codes(self):
         missing_baseline = os.path.join(FIXTURES, "no_such_baseline.json")
         rc_dirty = simlint.main(
-            ["--all", "--root", FIXTURES, "--baseline", missing_baseline,
-             "--engine", "token", "-q"]
+            ["--all", "--root", FIXTURES, "--baseline", missing_baseline, "-q"]
         )
         self.assertEqual(rc_dirty, 1, "findings without a baseline must exit 1")
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(HERE)))
-        rc_clean = simlint.main(
-            ["--all", "--root", repo_root, "--engine", "token", "-q"]
-        )
+        rc_clean = simlint.main(["--all", "--root", repo_root, "-q"])
         self.assertEqual(rc_clean, 0, "the real tree must lint clean")
 
 
