@@ -142,10 +142,8 @@ chaos_run() {
     return 1
   fi
 }
-i=0
 for sched in rr random:3 burst:5 pct3:7 pb16; do
-  i=$((i + 1))
-  chaos_run "sched${i}" --ops=60000 --cpus=4 --shared --sched="$sched"
+  chaos_run "$(echo "$sched" | tr : _)" --ops=60000 --cpus=4 --shared --sched="$sched"
 done
 
 # The plan shrinker, subprocess-free: a synthetic failure predicate the
@@ -155,6 +153,15 @@ done
 ./build/bench/bench_chaos --shrink-demo > build/chaos_shrink_b.txt
 cmp build/chaos_shrink_a.txt build/chaos_shrink_b.txt
 grep -q '^repro: uvmchaos/v1|' build/chaos_shrink_a.txt
+
+# "Same bytes" for every fleet and chaos run above: each first run's stdout
+# must hash to its committed value. sha256sum prints a FAILED line naming
+# each run whose output moved; a change that moves one must update
+# BENCH_fleet_chaos.sha256 and say why in CHANGES.md.
+if ! sha256sum -c --quiet BENCH_fleet_chaos.sha256; then
+  echo "ci.sh: fleet/chaos stdout moved from BENCH_fleet_chaos.sha256 (see FAILED above)" >&2
+  exit 1
+fi
 
 # Malformed plan flags must be rejected at parse time with exit 2 and a
 # parser message — never half-armed or silently ignored.

@@ -1252,6 +1252,10 @@ void BsdVm::AuditState(sim::Auditor& auditor) const {
           });
     }
   }
+  // The converse: every allocated slot is a pager's or the balloon's.
+  if (seen_slots.size() + swap_.balloon_slots() != swap_.used_slots()) {
+    auditor.Fail("swap slots in use are not all claimed by swap pagers or the balloon (leaked slot)");
+  }
   if (object_cache_.size() > config_.object_cache_limit) {
     auditor.Fail("bsd object cache exceeds its limit");
   }

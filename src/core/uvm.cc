@@ -1744,6 +1744,10 @@ void Uvm::AuditState(sim::Auditor& auditor) const {
       }
     }
   }
+  // The converse: every allocated slot is an anon's or the balloon's.
+  if (seen_slots.size() + swap_.balloon_slots() != swap_.used_slots()) {
+    auditor.Fail("swap slots in use are not all claimed by anons or the balloon (leaked slot)");
+  }
   SIM_ORDERED_OK("read-only audit walk; checks are per-page");
   for (vfs::Vnode* vn : attached_vnodes_) {
     const auto* uvn = static_cast<const UvmVnode*>(vn->attachment());

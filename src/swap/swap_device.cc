@@ -1,5 +1,7 @@
 #include "src/swap/swap_device.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/sim/assert.h"
@@ -13,64 +15,80 @@ namespace {
 constexpr int kMaxRemapAttempts = 8;
 }  // namespace
 
-std::int32_t SwapDevice::AllocSlot(bool emergency) {
+std::int32_t SwapDevice::AllocSlot(bool emergency) { return AllocContig(1, emergency); }
+
+std::int32_t SwapDevice::ScanContig(std::size_t from, std::size_t to, std::size_t want) {
+  std::size_t run = 0;        // free slots carried in from earlier words
+  std::size_t run_first = 0;  // first slot of the carried run
+  for (std::size_t w = from / kWordBits; w * kWordBits < to; ++w) {
+    const std::size_t base = w * kWordBits;
+    // Bit i set: slot base + i is free and inside [from, to).
+    std::uint64_t avail = ~(used_[w] | bad_[w]);
+    if (base < from) {
+      avail &= ~std::uint64_t{0} << (from - base);
+    }
+    if (to - base < kWordBits) {
+      avail &= (std::uint64_t{1} << (to - base)) - 1;
+    }
+    if (run > 0) {
+      // The carried run starts left of anything inside this word.
+      const auto low = static_cast<std::size_t>(std::countr_one(avail));
+      if (run + low >= want) {
+        return Claim(run_first, want);
+      }
+      if (low == kWordBits) {
+        run += kWordBits;
+        continue;
+      }
+    }
+    if (want <= kWordBits) {
+      // Shift-and doubling: bit i of `starts` survives iff slots
+      // i .. i+have-1 are all free.
+      std::uint64_t starts = avail;
+      for (std::size_t have = 1; have < want;) {
+        const std::size_t step = std::min(have, want - have);
+        starts &= starts >> step;
+        have += step;
+      }
+      if (starts != 0) {
+        return Claim(base + static_cast<std::size_t>(std::countr_zero(starts)), want);
+      }
+    }
+    // Only the word's top free bits can start a run that crosses into the
+    // next word.
+    run = static_cast<std::size_t>(std::countl_one(avail));
+    run_first = base + kWordBits - run;
+  }
+  return kNoSlot;
+}
+
+std::int32_t SwapDevice::Claim(std::size_t first, std::size_t n) {
+  for (std::size_t i = first; i < first + n; ++i) {
+    SetBit(used_, i);
+  }
+  used_count_ += n;
+  return static_cast<std::int32_t>(first);
+}
+
+std::int32_t SwapDevice::AllocContig(std::size_t want, bool emergency) {
   // Poll first: the pressure actuator (SetBalloonTarget) takes the slot
   // lock itself.
   disk_.machine().PollPressure();
   sim::LockGuard g(slot_lock_);
-  if (!emergency && free_slots() <= reserved_slots_) {
-    return kNoSlot;  // only the pageout reserve remains
-  }
-  bool dips_reserve = free_slots() <= reserved_slots_;
-  const std::size_t n = used_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t i = (next_hint_ + k) % n;
-    if (!used_[i] && !bad_[i]) {
-      used_[i] = true;
-      ++used_count_;
-      next_hint_ = (i + 1) % n;
-      if (dips_reserve) {
-        ++disk_.machine().stats().swap_reserve_allocs;
-      }
-      return static_cast<std::int32_t>(i);
-    }
-  }
-  return kNoSlot;
-}
-
-std::int32_t SwapDevice::ScanContig(std::size_t from, std::size_t to, std::size_t want) {
-  std::size_t run = 0;
-  for (std::size_t i = from; i < to; ++i) {
-    run = (used_[i] || bad_[i]) ? 0 : run + 1;
-    if (run == want) {
-      std::size_t first = i + 1 - want;
-      for (std::size_t j = first; j <= i; ++j) {
-        used_[j] = true;
-      }
-      used_count_ += want;
-      return static_cast<std::int32_t>(first);
-    }
-  }
-  return kNoSlot;
-}
-
-std::int32_t SwapDevice::AllocContig(std::size_t want, bool emergency) {
-  disk_.machine().PollPressure();
-  sim::LockGuard g(slot_lock_);
-  const std::size_t n = used_.size();
-  if (want == 0 || want > n) {
-    return kNoSlot;
+  if (want == 0 || want > free_slots()) {
+    return kNoSlot;  // no run can exist; skip the scan
   }
   if (!emergency && free_slots() < want + reserved_slots_) {
     return kNoSlot;  // the run would eat into the pageout reserve
   }
   bool dips_reserve = free_slots() < want + reserved_slots_;
-  // Start at the hint for locality with AllocSlot, but a miss there must
-  // not give up: rescan the whole device so free runs before (or
-  // straddling) the hint are still found.
+  // Start at the hint for locality, but a miss there must not give up:
+  // rescan from slot 0. A run the first scan missed starts before the hint,
+  // so the rescan can stop want - 1 slots past it.
+  const std::size_t n = num_slots_;
   std::int32_t first = ScanContig(next_hint_, n, want);
   if (first == kNoSlot) {
-    first = ScanContig(0, n, want);
+    first = ScanContig(0, std::min(n, next_hint_ + want - 1), want);
   }
   if (first != kNoSlot) {
     next_hint_ = (static_cast<std::size_t>(first) + want) % n;
@@ -83,7 +101,7 @@ std::int32_t SwapDevice::AllocContig(std::size_t want, bool emergency) {
 
 void SwapDevice::SetBalloonTarget(std::size_t target) {
   sim::LockGuard g(slot_lock_);
-  balloon_target_ = target < used_.size() ? target : used_.size();
+  balloon_target_ = std::min(target, num_slots_);
   AbsorbBalloon();  // any deficit left is absorbed by future FreeSlot calls
   ReleaseBalloon();
 }
@@ -98,7 +116,7 @@ void SwapDevice::ApplyPressure(const sim::PressureEvent& ev) {
       target -= target < ev.amount ? target : static_cast<std::size_t>(ev.amount);
       break;
     case sim::PressureOp::kSetAvail:
-      target = used_.size() > ev.amount ? used_.size() - static_cast<std::size_t>(ev.amount) : 0;
+      target = num_slots_ > ev.amount ? num_slots_ - static_cast<std::size_t>(ev.amount) : 0;
       break;
   }
   SetBalloonTarget(target);
@@ -107,9 +125,9 @@ void SwapDevice::ApplyPressure(const sim::PressureEvent& ev) {
 void SwapDevice::AbsorbBalloon() {
   // Claim the highest-numbered free slots first, away from the allocation
   // hint's locality.
-  for (std::size_t i = used_.size(); i-- > 0 && balloon_slots_.size() < balloon_target_;) {
-    if (!used_[i] && !bad_[i]) {
-      used_[i] = true;
+  for (std::size_t i = num_slots_; i-- > 0 && balloon_slots_.size() < balloon_target_;) {
+    if (!Bit(used_, i) && !Bit(bad_, i)) {
+      SetBit(used_, i);
       ++used_count_;
       balloon_slots_.push_back(static_cast<std::int32_t>(i));
     }
@@ -120,22 +138,21 @@ void SwapDevice::ReleaseBalloon() {
   while (balloon_slots_.size() > balloon_target_) {
     std::int32_t s = balloon_slots_.back();
     balloon_slots_.pop_back();
-    used_[static_cast<std::size_t>(s)] = false;
+    ClearBit(used_, static_cast<std::size_t>(s));
     --used_count_;
   }
 }
 
 void SwapDevice::FreeSlot(std::int32_t slot) {
   sim::LockGuard g(slot_lock_);
-  auto i = static_cast<std::size_t>(slot);
-  SIM_ASSERT(slot >= 0 && i < used_.size());
-  SIM_ASSERT_MSG(used_[i], "double free of swap slot");
-  used_[i] = false;
+  const std::size_t i = Index(slot);
+  SIM_ASSERT_MSG(Bit(used_, i), "double free of swap slot");
+  ClearBit(used_, i);
   SIM_ASSERT(used_count_ > 0);
   --used_count_;
   // Absorb one slot of any outstanding balloon deficit.
   if (balloon_slots_.size() < balloon_target_) {
-    used_[i] = true;
+    SetBit(used_, i);
     ++used_count_;
     balloon_slots_.push_back(slot);
   }
@@ -149,12 +166,11 @@ void SwapDevice::FreeRange(std::int32_t first, std::size_t n) {
 
 void SwapDevice::RetireSlot(std::int32_t slot) {
   sim::LockGuard g(slot_lock_);
-  auto i = static_cast<std::size_t>(slot);
-  SIM_ASSERT(slot >= 0 && i < used_.size());
-  SIM_ASSERT(used_[i] && !bad_[i]);
-  used_[i] = false;
+  const std::size_t i = Index(slot);
+  SIM_ASSERT(Bit(used_, i) && !Bit(bad_, i));
+  ClearBit(used_, i);
   --used_count_;
-  bad_[i] = true;
+  SetBit(bad_, i);
   ++bad_count_;
   ++disk_.machine().stats().bad_slots_remapped;
   sim::Machine& m = disk_.machine();

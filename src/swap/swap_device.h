@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "src/sim/assert.h"
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
 #include "src/sim/types.h"
@@ -33,8 +34,9 @@ class SwapDevice {
   SwapDevice(sim::Machine& machine, std::size_t num_slots)
       : disk_(machine, vfs::Disk::Kind::kSwap),
         slot_lock_(machine, "swap.slots", sim::LockRank::kSwap),
-        used_(num_slots, false),
-        bad_(num_slots, false),
+        num_slots_(num_slots),
+        used_((num_slots + kWordBits - 1) / kWordBits),
+        bad_((num_slots + kWordBits - 1) / kWordBits),
         bytes_(num_slots * sim::kPageSize) {
     machine.pressure().RegisterActuator(
         sim::PressureResource::kSwapSlots,
@@ -44,10 +46,10 @@ class SwapDevice {
   SwapDevice(const SwapDevice&) = delete;
   SwapDevice& operator=(const SwapDevice&) = delete;
 
-  std::size_t total_slots() const { return used_.size(); }
+  std::size_t total_slots() const { return num_slots_; }
   std::size_t used_slots() const { return used_count_; }
   std::size_t bad_slots() const { return bad_count_; }
-  std::size_t free_slots() const { return used_.size() - used_count_ - bad_count_; }
+  std::size_t free_slots() const { return num_slots_ - used_count_ - bad_count_; }
 
   // Slots below which only the pageout path may allocate (default 0 =
   // disabled): a reserve of clustering slots so the daemon can always
@@ -66,7 +68,8 @@ class SwapDevice {
   // Allocate a single slot; kNoSlot when full (or, for non-emergency
   // requests, when only the pageout reserve remains).
   std::int32_t AllocSlot(bool emergency = false);
-  // Allocate `n` contiguous slots; kNoSlot when no run is available.
+  // Allocate `n` contiguous slots: the leftmost free run at or after the
+  // rotating hint, else the leftmost from slot 0; kNoSlot when none exists.
   std::int32_t AllocContig(std::size_t n, bool emergency = false);
   void FreeSlot(std::int32_t slot);
   void FreeRange(std::int32_t first, std::size_t n);
@@ -97,16 +100,35 @@ class SwapDevice {
   // path). Same contract with n = 1.
   int WriteSlotRemapping(std::int32_t* slot, std::span<const std::byte, sim::kPageSize> src);
 
-  bool IsUsed(std::int32_t slot) const { return used_[static_cast<std::size_t>(slot)]; }
-  bool IsBad(std::int32_t slot) const { return bad_[static_cast<std::size_t>(slot)]; }
+  // Both panic on a slot outside [0, total_slots()).
+  bool IsUsed(std::int32_t slot) const { return Bit(used_, Index(slot)); }
+  bool IsBad(std::int32_t slot) const { return Bit(bad_, Index(slot)); }
 
  private:
+  static constexpr std::size_t kWordBits = 64;
+  static bool Bit(const std::vector<std::uint64_t>& map, std::size_t i) {
+    return ((map[i / kWordBits] >> (i % kWordBits)) & 1) != 0;
+  }
+  static void SetBit(std::vector<std::uint64_t>& map, std::size_t i) {
+    map[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+  }
+  static void ClearBit(std::vector<std::uint64_t>& map, std::size_t i) {
+    map[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
+  }
+  std::size_t Index(std::int32_t slot) const {
+    SIM_ASSERT(slot >= 0 && static_cast<std::size_t>(slot) < num_slots_);
+    return static_cast<std::size_t>(slot);
+  }
+
   std::byte* SlotData(std::int32_t slot) {
     return &bytes_[static_cast<std::size_t>(slot) * sim::kPageSize];
   }
-  // Scan [from, to) for `want` contiguous free slots; claims and returns the
-  // first slot of the run, or kNoSlot.
+  // First fit over [from, to), 64 slots per step: claims and returns the
+  // first slot of the leftmost run of `want` free slots lying wholly inside
+  // the range, or kNoSlot.
   std::int32_t ScanContig(std::size_t from, std::size_t to, std::size_t want);
+  // Marks slots [first, first + n) used; returns `first`.
+  std::int32_t Claim(std::size_t first, std::size_t n);
   // Retire a slot after a permanent write fault: mark it bad, drop it from
   // the used set, and count the remap.
   void RetireSlot(std::int32_t slot);
@@ -120,8 +142,10 @@ class SwapDevice {
   // costs dominate and the paper charges no swap-map lock); rank kSwap is
   // the bottom of the order, legal under any fault- or pageout-path lock.
   sim::SimLock slot_lock_;
-  std::vector<bool> used_;
-  std::vector<bool> bad_;
+  std::size_t num_slots_;
+  // One bit per slot, 64 slots a word; bits past num_slots_ stay clear.
+  std::vector<std::uint64_t> used_;
+  std::vector<std::uint64_t> bad_;
   std::vector<std::byte> bytes_;
   std::size_t used_count_ = 0;
   std::size_t bad_count_ = 0;

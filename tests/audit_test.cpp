@@ -156,11 +156,16 @@ TEST_P(AuditWorldTest, CatchesObjectPageBackPointerCorruption) {
   EXPECT_EQ(0u, w.machine.auditor().Run());
 }
 
-TEST_P(AuditWorldTest, CatchesSwapSlotOwnershipCorruption) {
+WorldConfig SmallSwapConfig() {
   WorldConfig cfg;
-  cfg.ram_pages = 64;   // small RAM: the workload below must hit swap
-  cfg.swap_slots = 256;  // small device keeps the repair loop short
-  World w(GetParam(), cfg);
+  cfg.ram_pages = 64;   // small RAM: WriteTwiceRam must hit swap
+  cfg.swap_slots = 256;  // small device keeps the repair loops short
+  return cfg;
+}
+
+// Writes 128 anonymous pages, twice a SmallSwapConfig World's RAM, and
+// checks that some paged out and the audit is clean.
+void WriteTwiceRam(World& w) {
   kern::Proc* p = w.kernel->Spawn();
   sim::Vaddr a = 0;
   const std::size_t npages = 128;
@@ -168,6 +173,11 @@ TEST_P(AuditWorldTest, CatchesSwapSlotOwnershipCorruption) {
   ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, npages * sim::kPageSize, std::byte{0x11}));
   ASSERT_GT(w.swap.used_slots(), 0u) << "workload never paged out";
   ASSERT_EQ(0u, w.machine.auditor().Run());
+}
+
+TEST_P(AuditWorldTest, CatchesSwapSlotOwnershipCorruption) {
+  World w(GetParam(), SmallSwapConfig());
+  ASSERT_NO_FATAL_FAILURE(WriteTwiceRam(w));
   // Free a slot behind the VM's back: some anon or swap pager now points at
   // a slot the device no longer considers allocated. Slot numbers allocate
   // from zero, so slot 0 is in use after the pageout above.
@@ -185,6 +195,19 @@ TEST_P(AuditWorldTest, CatchesSwapSlotOwnershipCorruption) {
   for (std::int32_t s : extras) {
     w.swap.FreeSlot(s);
   }
+  EXPECT_EQ(0u, w.machine.auditor().Run());
+}
+
+TEST_P(AuditWorldTest, CatchesLeakedSwapSlot) {
+  World w(GetParam(), SmallSwapConfig());
+  ASSERT_NO_FATAL_FAILURE(WriteTwiceRam(w));
+  // Allocate a slot behind the VM's back: the device counts it in use, but
+  // no anon or swap pager claims it and nothing will ever free it.
+  std::int32_t leaked = w.swap.AllocSlot();
+  ASSERT_NE(swp::kNoSlot, leaked);
+  EXPECT_EQ(1u, w.machine.auditor().Run());
+  EXPECT_TRUE(ViolationMentions(w.machine.auditor(), "leaked slot"));
+  w.swap.FreeSlot(leaked);
   EXPECT_EQ(0u, w.machine.auditor().Run());
 }
 

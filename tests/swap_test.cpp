@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
 #include "src/sim/machine.h"
+#include "src/sim/rng.h"
 #include "src/swap/swap_device.h"
 
 namespace {
@@ -315,6 +320,244 @@ TEST_F(SwapTest, AllocAfterFreeReusesSlots) {
   EXPECT_NE(swp::kNoSlot, sd.AllocSlot());
   EXPECT_NE(swp::kNoSlot, sd.AllocSlot());
   EXPECT_EQ(swp::kNoSlot, sd.AllocSlot());
+}
+
+using SwapDeathTest = SwapTest;
+
+TEST_F(SwapDeathTest, SlotOutsideTheDevicePanics) {
+  std::array<std::byte, sim::kPageSize> buf{};
+  const auto past_end = static_cast<std::int32_t>(sd.total_slots());
+  EXPECT_DEATH(sd.ReadSlot(past_end, buf), "assertion failed");
+  EXPECT_DEATH(sd.IsBad(-1), "assertion failed");
+}
+
+// The allocator walks its bitmap 64 slots at a time; these tests pin the
+// word boundaries a 32-slot device never reaches.
+
+// Reference first fit: one slot at a time from the hint to the end, then
+// the whole device again from slot 0.
+class FirstFitModel {
+ public:
+  explicit FirstFitModel(std::size_t n) : used_(n, false) {}
+
+  std::int32_t AllocSlot() {
+    const std::size_t n = used_.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = (hint_ + k) % n;
+      if (!used_[i]) {
+        used_[i] = true;
+        ++used_count_;
+        hint_ = (i + 1) % n;
+        return static_cast<std::int32_t>(i);
+      }
+    }
+    return swp::kNoSlot;
+  }
+
+  std::int32_t AllocContig(std::size_t want) {
+    const std::size_t n = used_.size();
+    if (want == 0 || want > n) {
+      return swp::kNoSlot;
+    }
+    std::int32_t first = Scan(hint_, want);
+    if (first == swp::kNoSlot) {
+      first = Scan(0, want);
+    }
+    if (first != swp::kNoSlot) {
+      hint_ = (static_cast<std::size_t>(first) + want) % n;
+    }
+    return first;
+  }
+
+  void FreeSlot(std::int32_t slot) {
+    used_[static_cast<std::size_t>(slot)] = false;
+    --used_count_;
+  }
+
+  bool IsUsed(std::size_t slot) const { return used_[slot]; }
+  std::size_t used_slots() const { return used_count_; }
+
+  // Length of the free run through `slot`; 0 when the slot is used.
+  std::size_t FreeRunAt(std::size_t slot) const {
+    if (used_[slot]) {
+      return 0;
+    }
+    std::size_t lo = slot;
+    std::size_t hi = slot + 1;
+    while (lo > 0 && !used_[lo - 1]) {
+      --lo;
+    }
+    while (hi < used_.size() && !used_[hi]) {
+      ++hi;
+    }
+    return hi - lo;
+  }
+
+ private:
+  std::int32_t Scan(std::size_t from, std::size_t want) {
+    std::size_t run = 0;
+    for (std::size_t i = from; i < used_.size(); ++i) {
+      run = used_[i] ? 0 : run + 1;
+      if (run == want) {
+        const std::size_t first = i + 1 - want;
+        for (std::size_t j = first; j <= i; ++j) {
+          used_[j] = true;
+        }
+        used_count_ += want;
+        return static_cast<std::int32_t>(first);
+      }
+    }
+    return swp::kNoSlot;
+  }
+
+  std::vector<bool> used_;
+  std::size_t used_count_ = 0;
+  std::size_t hint_ = 0;
+};
+
+TEST(SwapFirstFitTest, MatchesOneSlotAtATimeReference) {
+  for (std::size_t n : {1u, 63u, 64u, 65u, 130u, 700u}) {
+    SCOPED_TRACE(n);
+    sim::Machine machine;
+    swp::SwapDevice sd{machine, n};
+    FirstFitModel model(n);
+    sim::Rng rng(n);
+    std::vector<std::int32_t> held;  // allocated slots, in no order
+    for (int op = 0; op < 3000; ++op) {
+      // Free more often as the device fills, so fragmentation persists;
+      // now and then free a whole window, opening gaps that span words.
+      if (!held.empty() && rng.Below(n + 1) < held.size()) {
+        const std::size_t lo = rng.Below(n);
+        const std::size_t hi = rng.Chance(1, 8) ? lo + rng.Range(1, 200) : lo + 1;
+        for (std::size_t k = held.size(); k-- > 0;) {
+          const auto slot = static_cast<std::size_t>(held[k]);
+          if (slot >= lo && slot < hi) {
+            sd.FreeSlot(held[k]);
+            model.FreeSlot(held[k]);
+            held[k] = held.back();
+            held.pop_back();
+          }
+        }
+      } else if (rng.Chance(1, 4)) {
+        const std::int32_t got = sd.AllocSlot();
+        ASSERT_EQ(model.AllocSlot(), got) << "op " << op;
+        if (got != swp::kNoSlot) {
+          held.push_back(got);
+        }
+      } else {
+        // Short runs, as pageout clusters are; runs that exactly fill a
+        // free gap, where an off-by-one bound shows; and runs up to the
+        // device size, which span words.
+        std::size_t want = 0;
+        switch (rng.Below(3)) {
+          case 0:
+            want = rng.Range(1, 16);
+            break;
+          case 1:
+            want = model.FreeRunAt(rng.Below(n));
+            break;
+          default:
+            want = rng.Range(1, n + 1);
+            break;
+        }
+        const std::int32_t got = sd.AllocContig(want);
+        ASSERT_EQ(model.AllocContig(want), got) << "op " << op << " want " << want;
+        for (std::size_t i = 0; got != swp::kNoSlot && i < want; ++i) {
+          held.push_back(got + static_cast<std::int32_t>(i));
+        }
+      }
+      ASSERT_EQ(model.used_slots(), sd.used_slots()) << "op " << op;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(model.IsUsed(i), sd.IsUsed(static_cast<std::int32_t>(i)))
+            << "op " << op << " slot " << i;
+      }
+    }
+  }
+}
+
+// A device with every slot allocated except the runs freed here; the
+// allocation hint is back at slot 0.
+void FillThenFree(swp::SwapDevice& sd, std::initializer_list<std::pair<int, int>> free_runs) {
+  ASSERT_EQ(0, sd.AllocContig(sd.total_slots()));
+  for (auto [first, n] : free_runs) {
+    sd.FreeRange(first, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(SwapFirstFitTest, RunAcrossAWordBoundary) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 130};
+  FillThenFree(sd, {{50, 7}, {60, 8}});
+  EXPECT_EQ(60, sd.AllocContig(8));
+  for (std::int32_t s = 60; s < 68; ++s) {
+    EXPECT_TRUE(sd.IsUsed(s)) << s;
+  }
+  EXPECT_EQ(123u, sd.used_slots());
+}
+
+TEST(SwapFirstFitTest, RunEndingAtTheLastSlot) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 130};
+  FillThenFree(sd, {{120, 10}});
+  EXPECT_EQ(swp::kNoSlot, sd.AllocContig(11));
+  EXPECT_EQ(120, sd.AllocContig(10));
+  EXPECT_EQ(0u, sd.free_slots());
+}
+
+TEST(SwapFirstFitTest, RunOfTheWholeDevice) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 130};
+  EXPECT_EQ(0, sd.AllocContig(130));
+  EXPECT_EQ(swp::kNoSlot, sd.AllocContig(1));
+  sd.FreeSlot(129);
+  EXPECT_EQ(swp::kNoSlot, sd.AllocContig(130));
+  sd.FreeRange(0, 129);
+  EXPECT_EQ(0, sd.AllocContig(130));
+}
+
+TEST(SwapFirstFitTest, RunSpanningAWholeWord) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 256};
+  // The run covers slots 128..191, one whole word; a 99-slot decoy run
+  // comes first.
+  FillThenFree(sd, {{1, 99}, {101, 100}});
+  EXPECT_EQ(101, sd.AllocContig(100));
+  EXPECT_EQ(1, sd.AllocContig(99));
+}
+
+TEST(SwapFirstFitTest, BadSlotSplitsAFreeRun) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 130};
+  // Leave only slot 96, mid-word, allocated; a permanent write fault on it
+  // retires it and moves the page to slot 0.
+  FillThenFree(sd, {{0, 96}, {97, 33}});
+  sim::FaultPlan plan;
+  plan.fail_writes.push_back(sim::FaultSpec{1, /*permanent=*/true});
+  machine.faults().SetPlan(sim::IoDevice::kSwapDisk, plan);
+  std::array<std::byte, sim::kPageSize> page{};
+  std::int32_t slot = 96;
+  ASSERT_EQ(sim::kOk, sd.WriteSlotRemapping(&slot, page));
+  ASSERT_EQ(0, slot);
+  sd.FreeSlot(slot);
+  ASSERT_TRUE(sd.IsBad(96));
+  EXPECT_EQ(129u, sd.free_slots());
+  // 129 slots are free, but no run of 97 crosses the bad slot.
+  EXPECT_EQ(swp::kNoSlot, sd.AllocContig(97));
+  EXPECT_EQ(0, sd.AllocContig(96));
+  EXPECT_EQ(97, sd.AllocContig(33));
+  EXPECT_FALSE(sd.IsUsed(96));
+  EXPECT_EQ(0u, sd.free_slots());
+}
+
+TEST(SwapFirstFitTest, SeventySlotDeviceFillsInOrder) {
+  sim::Machine machine;
+  swp::SwapDevice sd{machine, 70};
+  for (std::int32_t s = 0; s < 70; ++s) {
+    ASSERT_EQ(s, sd.AllocSlot());
+  }
+  EXPECT_EQ(swp::kNoSlot, sd.AllocSlot());
+  EXPECT_EQ(swp::kNoSlot, sd.AllocContig(1));
+  EXPECT_EQ(70u, sd.used_slots());
 }
 
 }  // namespace
