@@ -207,17 +207,16 @@ int main(int argc, char** argv) {
 
   // With no explicit storm, arm the standard one: bench_chaos exists to
   // storm, and the armed default keeps its double-run CI check meaningful.
-  if (!bench::ChaosSession::Get().enabled()) {
-    bench::ChaosSession::Get().SetSpec(kDefaultStorm);
+  bench::PlanSession& plans = bench::PlanSession::Get();
+  if (plans.world.chaos_plan.empty()) {
+    plans.world.chaos_plan = kDefaultStorm;
   }
   {
     std::string error;
-    const bool ok = sim::ParseChaosSpec(bench::ChaosSession::Get().spec(), &sc.chaos, &error);
+    const bool ok = sim::ParseChaosSpec(plans.world.chaos_plan, &sc.chaos, &error);
     SIM_ASSERT_MSG(ok, "chaos spec revalidation failed after Init");
   }
-  if (bench::SchedSession::Get().enabled()) {
-    sc.sched = bench::SchedSession::Get().spec();
-  }
+  sc.sched = plans.sched;
 
   if (shrink) {
     PrintHeader("Chaos scenario shrinker (subprocess probes)");

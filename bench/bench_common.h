@@ -34,84 +34,21 @@ namespace bench {
 using harness::VmKind;
 using harness::WorldConfig;
 
-// Scripted resource-pressure plan for a whole bench process (DESIGN.md
-// §12). Inactive (and entirely free) unless --pressure=SPEC was given.
-class PressureSession {
- public:
-  static PressureSession& Get() {
-    static PressureSession session;
+// Every plan-valued flag of a whole bench process, validated by Init.
+// `world` carries --pressure, --memfault, --chaos (DESIGN.md §12, §13, §17)
+// and --audit into every bench::World; each is inert, and entirely free,
+// unless given. `sched` is the --sched strategy (default round-robin). The
+// session only holds it: scheduler-driven workloads (the fleet,
+// bench_chaos) install it after they Configure() the scheduler, and benches
+// that never take scheduler turns accept the flag but are unaffected by it.
+struct PlanSession {
+  static PlanSession& Get() {
+    static PlanSession session;
     return session;
   }
 
-  bool enabled() const { return !spec_.empty(); }
-  const std::string& spec() const { return spec_; }
-  void SetSpec(std::string spec) { spec_ = std::move(spec); }
-
- private:
-  PressureSession() = default;
-  std::string spec_;
-};
-
-// Scripted memory-error plan for a whole bench process (DESIGN.md §13).
-// Inactive (and entirely free) unless --memfault=SPEC was given.
-class MemfaultSession {
- public:
-  static MemfaultSession& Get() {
-    static MemfaultSession session;
-    return session;
-  }
-
-  bool enabled() const { return !spec_.empty(); }
-  const std::string& spec() const { return spec_; }
-  void SetSpec(std::string spec) { spec_ = std::move(spec); }
-
- private:
-  MemfaultSession() = default;
-  std::string spec_;
-};
-
-// Composed chaos storm for a whole bench process (DESIGN.md §17). Inactive
-// (and entirely free) unless --chaos=SPEC was given; the spec is validated
-// at parse time, so a bad one exits 2 before any World is built.
-class ChaosSession {
- public:
-  static ChaosSession& Get() {
-    static ChaosSession session;
-    return session;
-  }
-
-  bool enabled() const { return !spec_.empty(); }
-  const std::string& spec() const { return spec_; }
-  void SetSpec(std::string spec) { spec_ = std::move(spec); }
-
- private:
-  ChaosSession() = default;
-  std::string spec_;
-};
-
-// Schedule-fuzzing strategy for a whole bench process (DESIGN.md §17).
-// Inactive unless --sched=SPEC was given. The session only parses and
-// holds the spec; scheduler-driven workloads (the fleet, bench_chaos)
-// install it after they Configure() the scheduler — benches that never
-// take scheduler turns accept the flag but are unaffected by it.
-class SchedSession {
- public:
-  static SchedSession& Get() {
-    static SchedSession session;
-    return session;
-  }
-
-  bool enabled() const { return enabled_; }
-  const sim::SchedSpec& spec() const { return spec_; }
-  void Set(const sim::SchedSpec& spec) {
-    spec_ = spec;
-    enabled_ = true;
-  }
-
- private:
-  SchedSession() = default;
-  sim::SchedSpec spec_;
-  bool enabled_ = false;
+  WorldConfig world;
+  sim::SchedSpec sched;
 };
 
 // Minimal-repro capture (DESIGN.md §17). Init() serializes the bench name
@@ -158,45 +95,23 @@ class ReproSession {
   std::string repro_;  // owns the registered string for process lifetime
 };
 
-// Periodic cross-layer audit interval for a whole bench process. Inactive
-// unless --audit=N (virtual milliseconds) was given; the shutdown audit in
-// harness::World runs regardless.
-class AuditSession {
- public:
-  static AuditSession& Get() {
-    static AuditSession session;
-    return session;
-  }
-
-  bool enabled() const { return every_ != 0; }
-  sim::Nanoseconds every() const { return every_; }
-  void SetEveryMs(long ms) { every_ = static_cast<sim::Nanoseconds>(ms) * 1'000'000; }
-
- private:
-  AuditSession() = default;
-  sim::Nanoseconds every_ = 0;
-};
-
-// The bench-side World: identical to harness::World, but arms the
-// session-wide --pressure / --memfault / --audit settings on every
-// construction, so each measured run replays the same scripted schedule in
-// virtual time.
+// The bench-side World: a harness::World armed with the session-wide
+// --pressure / --memfault / --chaos / --audit settings, so each measured
+// run replays the same scripted schedule in virtual time. Those four
+// config fields come from the session only; a bench sets none of them.
 class World : public harness::World {
  public:
   explicit World(VmKind kind, const WorldConfig& config = WorldConfig{})
-      : harness::World(kind, config) {
-    if (PressureSession::Get().enabled()) {
-      InstallPressurePlan(PressureSession::Get().spec());
-    }
-    if (MemfaultSession::Get().enabled()) {
-      InstallMemfaultPlan(MemfaultSession::Get().spec());
-    }
-    if (ChaosSession::Get().enabled()) {
-      InstallChaosPlan(ChaosSession::Get().spec());
-    }
-    if (AuditSession::Get().enabled()) {
-      machine.auditor().set_interval(AuditSession::Get().every());
-    }
+      : harness::World(kind, WithSessionPlans(config)) {}
+
+ private:
+  static WorldConfig WithSessionPlans(WorldConfig config) {
+    const WorldConfig& session = PlanSession::Get().world;
+    config.pressure_plan = session.pressure_plan;
+    config.memfault_plan = session.memfault_plan;
+    config.chaos_plan = session.chaos_plan;
+    config.audit_every = session.audit_every;
+    return config;
   }
 };
 
@@ -336,6 +251,20 @@ inline std::uint64_t ParseUint64(const char* flag, const char* text) {
 // Called by every bench main after its own flags are consumed.
 inline void RejectUnknownArgs() { ArgSession::Get().RejectUnknown(); }
 
+// Parse a plan-valued flag's text with `parse`; a malformed one exits 2
+// with the parser's message.
+template <typename Plan>
+Plan ParsePlanFlag(const char* what, const char* text,
+                   bool (*parse)(const std::string&, Plan*, std::string*)) {
+  Plan plan;
+  std::string error;
+  if (!parse(text, &plan, &error)) {
+    std::fprintf(stderr, "bench: bad %s: %s\n", what, error.c_str());
+    std::exit(2);
+  }
+  return plan;
+}
+
 // Pin the locale and parse the session-wide flags. Bench-specific flags are
 // consumed afterwards via ArgSession; each main ends its parsing with
 // RejectUnknownArgs(). Every plan-valued flag is validated here, at parse
@@ -373,44 +302,24 @@ inline void Init(int argc, char** argv) {
   if (const char* v = args.ConsumeValue("--trace=")) {
     TraceSession::Get().SetPath(v);
   }
+  PlanSession& plans = PlanSession::Get();
   if (const char* v = args.ConsumeValue("--pressure=")) {
-    sim::PressurePlan plan;
-    std::string error;
-    if (!sim::ParsePressurePlan(v, &plan, &error)) {
-      std::fprintf(stderr, "bench: bad --pressure plan: %s\n", error.c_str());
-      std::exit(2);
-    }
-    PressureSession::Get().SetSpec(v);
+    ParsePlanFlag("--pressure plan", v, sim::ParsePressurePlan);
+    plans.world.pressure_plan = v;
   }
   if (const char* v = args.ConsumeValue("--memfault=")) {
-    sim::MemFaultPlan plan;
-    std::string error;
-    if (!sim::ParseMemFaultPlan(v, &plan, &error)) {
-      std::fprintf(stderr, "bench: bad --memfault plan: %s\n", error.c_str());
-      std::exit(2);
-    }
-    MemfaultSession::Get().SetSpec(v);
+    ParsePlanFlag("--memfault plan", v, sim::ParseMemFaultPlan);
+    plans.world.memfault_plan = v;
   }
   if (const char* v = args.ConsumeValue("--chaos=")) {
-    sim::ChaosSpec spec;
-    std::string error;
-    if (!sim::ParseChaosSpec(v, &spec, &error)) {
-      std::fprintf(stderr, "bench: bad --chaos plan: %s\n", error.c_str());
-      std::exit(2);
-    }
-    ChaosSession::Get().SetSpec(v);
+    ParsePlanFlag("--chaos plan", v, sim::ParseChaosSpec);
+    plans.world.chaos_plan = v;
   }
   if (const char* v = args.ConsumeValue("--sched=")) {
-    sim::SchedSpec spec;
-    std::string error;
-    if (!sim::ParseSchedSpec(v, &spec, &error)) {
-      std::fprintf(stderr, "bench: bad --sched spec: %s\n", error.c_str());
-      std::exit(2);
-    }
-    SchedSession::Get().Set(spec);
+    plans.sched = ParsePlanFlag("--sched spec", v, sim::ParseSchedSpec);
   }
   if (const char* v = args.ConsumeValue("--audit=")) {
-    AuditSession::Get().SetEveryMs(static_cast<long>(ParseUint64("--audit", v)));
+    plans.world.audit_every = ParseUint64("--audit", v) * 1'000'000;
   }
 }
 

@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
   if (config.workers < config.cpus) {
     config.workers = config.cpus;
   }
-  if (bench::SchedSession::Get().enabled()) {
-    config.sched = bench::SchedSession::Get().spec();
-  }
+  config.sched = bench::PlanSession::Get().sched;
 
   PrintHeader("Server-fleet workload engine (deterministic; host time on stderr)");
   std::printf("%llu kernel ops per VM, %zu workers, seed %llu\n",

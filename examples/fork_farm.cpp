@@ -62,7 +62,7 @@ void RunOn(VmKind kind, int workers, std::size_t dataset_mb) {
   for (kern::Proc* worker : pool) {
     w.kernel->Exit(worker);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

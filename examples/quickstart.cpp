@@ -71,7 +71,7 @@ void RunOn(VmKind kind) {
               static_cast<unsigned long long>(w.machine.stats().swap_ops));
   std::printf("total virtual time: %.3f s\n", w.machine.clock().now_seconds());
 
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ void RunOn(VmKind kind) {
   if (pass_us >= 0) {
     std::printf("  map-entry pass:   %8.1f us  (%.1fx faster)\n", pass_us, copy_us / pass_us);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

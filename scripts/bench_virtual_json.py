@@ -29,8 +29,8 @@ trace_events}, plus a toolchain-independent "observer_effect": "ok" marker
 that only appears if every check above passed.
 
 --expect FILE compares each bench's stdout sha256 with a committed JSON of
-the same shape (BENCH_virtual.json, BENCH_pressure.json at the repo root)
-and fails naming every bench whose fingerprint moved. --out is written
+the same shape (BENCH_virtual.json, BENCH_pressure.json, BENCH_soak.json at
+the repo root) and fails naming every bench whose fingerprint moved. --out is written
 first, so an intended change is adopted by copying it over the baseline.
 
 Usage: bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json

@@ -77,7 +77,8 @@ python3 scripts/bench_virtual_json.py --bindir build/bench \
 # byte-deterministic as the happy path, and every bench must finish with a
 # clean shutdown audit (any violation panics the World destructor). Runs
 # against the ASan build when sanitizers are enabled so containment bugs
-# also surface as ASan reports.
+# also surface as ASan reports. The ASan and RelWithDebInfo builds print the
+# same bytes, so one committed BENCH_soak.json gates either.
 SOAK_BINDIR=build/bench
 if [ "${UVM_CI_SKIP_ASAN:-0}" != "1" ]; then
   SOAK_BINDIR=build-asan/bench
@@ -86,7 +87,7 @@ python3 scripts/bench_virtual_json.py --bindir "$SOAK_BINDIR" \
   --pressure '@1ms phys-=7000; @50ms swap=14200; @20s swap=32768; @30s phys+=5000' \
   --memfault '@2ms poison random:2; @8ms poison random:3; @40ms poison random:2' \
   --audit 1 \
-  --out build/BENCH_soak.json
+  --out build/BENCH_soak.json --expect BENCH_soak.json
 
 # Server-fleet engine: a million kernel ops per VM (request bursts,
 # vnode-cache churn, fork/exec build storms) through the slab-backed
@@ -164,9 +165,10 @@ if ! sha256sum -c --quiet BENCH_fleet_chaos.sha256; then
 fi
 
 # Malformed plan flags must be rejected at parse time with exit 2 and a
-# parser message — never half-armed or silently ignored.
+# parser message — never half-armed or silently ignored. That includes a
+# number too large for its field, which must not wrap into a different run.
 for bad in "--pressure=@1ms warp" "--memfault=@1ms poison wat" \
-    "--chaos=wat=3" "--sched=warp9"; do
+    "--chaos=wat=3" "--sched=warp9" "--chaos=io=1:span=20000000000s"; do
   rc=0
   ./build/bench/bench_fleet "$bad" > /dev/null 2> build/chaos_cli_err.txt || rc=$?
   if [ "$rc" != 2 ]; then

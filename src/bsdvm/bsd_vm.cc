@@ -1196,23 +1196,6 @@ std::size_t BsdVm::MaxChainDepth(kern::AddressSpace& as_) const {
   return deepest;
 }
 
-void BsdVm::CheckInvariants() {
-  for (VmObject* obj : all_objects_) {
-    SIM_ASSERT_MSG(obj->ref_count > 0 || obj->in_cache_, "unreferenced live object");
-    SIM_ASSERT_MSG(!obj->in_cache_ || obj->ref_count == 0, "cached object with references");
-    SIM_ASSERT_MSG(!obj->in_cache_ || obj->can_persist_, "cached non-persistent object");
-    for (const auto& [pgi, page] : obj->pages) {
-      SIM_ASSERT_MSG(page->owner == obj, "page owner mismatch");
-      SIM_ASSERT_MSG(page->offset == pgi, "page offset mismatch");
-      SIM_ASSERT_MSG(page->owner_kind == phys::OwnerKind::kBsdObject, "page owner kind mismatch");
-    }
-    if (obj->shadow != nullptr) {
-      SIM_ASSERT_MSG(all_objects_.contains(obj->shadow), "dangling shadow pointer");
-    }
-  }
-  SIM_ASSERT(object_cache_.size() <= config_.object_cache_limit);
-}
-
 void BsdVm::AuditState(sim::Auditor& auditor) const {
   std::unordered_set<std::int32_t> seen_slots;
   for (const VmObject* obj : all_objects_) {

@@ -101,7 +101,6 @@ class BsdVm : public kern::VmSystem {
   std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
   const kern::VmTuning& tuning() const override { return config_.tuning; }
-  void CheckInvariants() override;
 
   // --- BSD-specific introspection used by tests and benches ---
   std::size_t object_cache_size() const { return object_cache_.size(); }
@@ -188,7 +187,7 @@ class BsdVm : public kern::VmSystem {
 
   std::unique_ptr<BsdAddressSpace> kernel_as_;
   // Ordered by creation id, not pointer value: walks over the live-object
-  // registry (TotalAnonPages, CheckInvariants) must not depend on where the
+  // registry (TotalAnonPages, AuditState) must not depend on where the
   // allocator happened to place each object.
   struct VmObjectIdLess {
     bool operator()(const VmObject* a, const VmObject* b) const { return a->id < b->id; }

@@ -1673,29 +1673,6 @@ std::size_t Uvm::AnonResidentPages(kern::AddressSpace& as_) const {
   return n;
 }
 
-void Uvm::CheckInvariants() {
-  SIM_ORDERED_OK("assert-only walk; no simulation state or time is touched");
-  for (Anon* a : all_anons_) {
-    SIM_ASSERT_MSG(a->ref_count > 0, "live anon with zero refs");
-    // Note: an anon may legitimately hold neither a page nor a swap slot —
-    // a clean zero-fill page reclaimed by the pagedaemon refaults as zeros.
-    if (a->page != nullptr) {
-      SIM_ASSERT_MSG(a->page->owner_kind == phys::OwnerKind::kUvmAnon, "anon page owner kind");
-      SIM_ASSERT_MSG(a->page->owner == a, "anon page owner pointer");
-    }
-    if (a->swap_slot != swp::kNoSlot) {
-      SIM_ASSERT_MSG(swap_.IsUsed(a->swap_slot), "anon swap slot not allocated");
-    }
-  }
-  SIM_ORDERED_OK("assert-only walk; no simulation state or time is touched");
-  for (Amap* am : all_amaps_) {
-    SIM_ASSERT_MSG(am->ref_count > 0, "live amap with zero refs");
-    am->impl->ForEach([this](std::uint64_t, Anon* a) {
-      SIM_ASSERT_MSG(all_anons_.contains(a), "amap references dead anon");
-    });
-  }
-}
-
 void Uvm::AuditState(sim::Auditor& auditor) const {
   // Count amap->anon references; at a quiescent point every anon reference
   // is held by an amap, so the per-anon tallies must equal ref_count.

@@ -131,7 +131,6 @@ class Uvm : public kern::VmSystem {
   std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
   const kern::VmTuning& tuning() const override { return config_.tuning; }
-  void CheckInvariants() override;
 
   // --- UVM-specific introspection ---
   // One anon == one logical page of anonymous memory (resident or on swap).

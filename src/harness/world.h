@@ -28,13 +28,10 @@ struct WorldConfig {
   std::size_t ram_pages = 8192;        // 32 MB, the paper's machine
   std::size_t swap_slots = 32768;      // 128 MB swap
   std::size_t max_vnodes = 2048;
-  // Pressure-engine knobs (DESIGN.md §12). All default to zero/empty, which
-  // keeps every legacy run byte-identical: no watermarks, no reserves, no
-  // plan. InstallPressurePlan() derives sane defaults for unset watermarks.
-  std::size_t free_reserve_pages = 0;  // emergency pool for pageout-path allocs
-  std::size_t free_min_pages = 0;      // hard floor the balloon never crosses
-  std::size_t swap_reserve_slots = 0;  // clustering reserve for the daemon
-  std::string pressure_plan;           // "@TIME res(-=|+=|=)N; ..." or empty
+  // Pressure plan (DESIGN.md §12). Empty keeps every legacy run
+  // byte-identical; InstallPressurePlan() derives sane defaults for the
+  // watermarks and reserves a plan needs.
+  std::string pressure_plan;  // "@TIME res(-=|+=|=)N; ..." or empty
   // Memory-error and audit knobs (DESIGN.md §13). Both default off, which
   // keeps every legacy run byte-identical: no poison events, no periodic
   // audits (the shutdown audit always runs but charges nothing).
@@ -62,9 +59,6 @@ class World {
       vm = std::make_unique<uvm::Uvm>(machine, pm, mmu, fs.cache(), swap, config.uvm);
     }
     kernel = std::make_unique<kern::Kernel>(machine, pm, fs, swap, *vm);
-    pm.set_free_reserve(config.free_reserve_pages);
-    pm.set_free_min(config.free_min_pages);
-    swap.set_reserved_slots(config.swap_reserve_slots);
     if (!config.pressure_plan.empty()) {
       InstallPressurePlan(config.pressure_plan);
     }
@@ -85,26 +79,26 @@ class World {
   // before any member is destroyed, so every layer's checks are still
   // registered. Corruption-fixture tests must repair what they corrupt
   // before the World goes out of scope.
-  ~World() {
+  ~World() { CheckInvariants(); }
+
+  // Run the full cross-layer audit now (sim::Auditor, DESIGN.md §13): print
+  // every violation and panic if there is any. Charges nothing and moves no
+  // stat; tests call it at points where the machine must be coherent.
+  void CheckInvariants() {
     if (std::size_t n = machine.auditor().Run(); n != 0) {
       for (const std::string& v : machine.auditor().last_violations()) {
         std::fprintf(stderr, "audit violation: %s\n", v.c_str());
       }
-      SIM_PANIC("cross-layer audit failed at World shutdown");
+      SIM_PANIC("cross-layer audit failed");
     }
   }
 
   // Arm the pressure engine with `spec` (see sim::ParsePressurePlan for the
-  // grammar). Watermarks and reserves left at zero in the config are given
-  // defaults scaled to the machine size — running a plan without an
-  // emergency pool would turn the first deep shrink into a daemon deadlock.
+  // grammar). Watermarks and reserves still at zero are given defaults
+  // scaled to the machine size — running a plan without an emergency pool
+  // would turn the first deep shrink into a daemon deadlock.
   void InstallPressurePlan(const std::string& spec) {
-    sim::PressurePlan plan;
-    std::string error;
-    if (!sim::ParsePressurePlan(spec, &plan, &error)) {
-      std::fprintf(stderr, "bad pressure plan: %s\n", error.c_str());
-      SIM_PANIC("invalid pressure plan spec");
-    }
+    const sim::PressurePlan plan = ParseOrPanic("pressure", spec, sim::ParsePressurePlan);
     ArmPressureDefaults();
     machine.pressure().SetPlan(plan);
   }
@@ -113,13 +107,7 @@ class World {
   // for the grammar). Events fire from the pressure poll, so a plan needs no
   // watermark setup — poisoning is orthogonal to pool geometry.
   void InstallMemfaultPlan(const std::string& spec) {
-    sim::MemFaultPlan plan;
-    std::string error;
-    if (!sim::ParseMemFaultPlan(spec, &plan, &error)) {
-      std::fprintf(stderr, "bad memfault plan: %s\n", error.c_str());
-      SIM_PANIC("invalid memfault plan spec");
-    }
-    machine.faults().SetMemPlan(plan);
+    machine.faults().SetMemPlan(ParseOrPanic("memfault", spec, sim::ParseMemFaultPlan));
   }
 
   // Arm a composed chaos storm (see sim::ParseChaosSpec for the grammar).
@@ -127,12 +115,7 @@ class World {
   // to this World's pool geometry; a storm with pressure events gets the
   // same watermark defaults as a hand-written pressure plan.
   void InstallChaosPlan(const std::string& spec) {
-    sim::ChaosSpec chaos;
-    std::string error;
-    if (!sim::ParseChaosSpec(spec, &chaos, &error)) {
-      std::fprintf(stderr, "bad chaos plan: %s\n", error.c_str());
-      SIM_PANIC("invalid chaos plan spec");
-    }
+    const sim::ChaosSpec chaos = ParseOrPanic("chaos", spec, sim::ParseChaosSpec);
     sim::ChaosGeometry geom;
     geom.phys_pages = pm.total_pages();
     geom.swap_slots = swap.total_slots();
@@ -174,6 +157,22 @@ class World {
   swp::SwapDevice swap;
   std::unique_ptr<kern::VmSystem> vm;
   std::unique_ptr<kern::Kernel> kernel;
+
+ private:
+  // Parse a `what` plan spec with `parse`; a malformed one prints the
+  // parser's message and panics. Bench flags are validated before any World
+  // exists, so this only catches specs built in code.
+  template <typename Plan>
+  static Plan ParseOrPanic(const char* what, const std::string& spec,
+                           bool (*parse)(const std::string&, Plan*, std::string*)) {
+    Plan plan;
+    std::string error;
+    if (!parse(spec, &plan, &error)) {
+      std::fprintf(stderr, "bad %s plan: %s\n", what, error.c_str());
+      SIM_PANICF("invalid %s plan spec", what);
+    }
+    return plan;
+  }
 };
 
 }  // namespace harness

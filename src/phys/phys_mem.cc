@@ -55,21 +55,7 @@ PhysMem::PhysMem(sim::Machine& machine, std::size_t num_pages)
   machine_.pressure().RegisterActuator(
       sim::PressureResource::kPhysPages,
       [this](const sim::PressureEvent& ev) {
-        std::size_t target = balloon_target_;
-        switch (ev.op) {
-          case sim::PressureOp::kShrink:
-            target += static_cast<std::size_t>(ev.amount);
-            break;
-          case sim::PressureOp::kGrow:
-            target -= std::min(target, static_cast<std::size_t>(ev.amount));
-            break;
-          case sim::PressureOp::kSetAvail:
-            target = pages_.size() > ev.amount
-                         ? pages_.size() - static_cast<std::size_t>(ev.amount)
-                         : 0;
-            break;
-        }
-        SetBalloonTarget(std::min(target, pages_.size()));
+        SetBalloonTarget(sim::BalloonTarget(balloon_target_, pages_.size(), ev));
       });
   machine_.faults().RegisterMemActuator(
       [this](const sim::MemFaultEvent& ev, sim::Rng& rng) {

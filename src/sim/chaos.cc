@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "src/sim/assert.h"
+#include "src/sim/plan.h"
 #include "src/sim/rng.h"
 
 namespace sim {
@@ -19,64 +20,6 @@ constexpr std::uint64_t kChaosGamma = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kIoStream = kChaosGamma * 1;
 constexpr std::uint64_t kPressureStream = kChaosGamma * 2;
 constexpr std::uint64_t kPoisonStream = kChaosGamma * 3;
-
-void SkipWs(const std::string& s, std::size_t* i) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])) != 0) {
-    ++*i;
-  }
-}
-
-bool ParseU64(const std::string& s, std::size_t* i, std::uint64_t* out) {
-  std::size_t start = *i;
-  std::uint64_t v = 0;
-  while (*i < s.size() && std::isdigit(static_cast<unsigned char>(s[*i])) != 0) {
-    v = v * 10 + static_cast<std::uint64_t>(s[*i] - '0');
-    ++*i;
-  }
-  if (*i == start) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-// "N[ns|us|ms|s]" -> nanoseconds (default ns), entire-token match required.
-bool ParseTime(const std::string& tok, Nanoseconds* out) {
-  std::size_t i = 0;
-  std::uint64_t t = 0;
-  if (!ParseU64(tok, &i, &t)) {
-    return false;
-  }
-  std::uint64_t scale = 1;
-  if (tok.compare(i, 2, "ns") == 0) {
-    i += 2;
-  } else if (tok.compare(i, 2, "us") == 0) {
-    scale = 1'000, i += 2;
-  } else if (tok.compare(i, 2, "ms") == 0) {
-    scale = 1'000'000, i += 2;
-  } else if (i < tok.size() && tok[i] == 's') {
-    scale = 1'000'000'000, i += 1;
-  }
-  if (i != tok.size()) {
-    return false;
-  }
-  *out = static_cast<Nanoseconds>(t * scale);
-  return true;
-}
-
-std::string FormatTime(Nanoseconds ns) {
-  const std::uint64_t v = static_cast<std::uint64_t>(ns);
-  if (v != 0 && v % 1'000'000'000 == 0) {
-    return std::to_string(v / 1'000'000'000) + "s";
-  }
-  if (v != 0 && v % 1'000'000 == 0) {
-    return std::to_string(v / 1'000'000) + "ms";
-  }
-  if (v != 0 && v % 1'000 == 0) {
-    return std::to_string(v / 1'000) + "us";
-  }
-  return std::to_string(v) + "ns";
-}
 
 // A storm event time: uniform over [span/10, span] — never at t=0, so the
 // world always boots quiet and the first events land mid-workload.
@@ -183,14 +126,7 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
     pos = colon + 1;
     if (first_segment) {
       first_segment = false;
-      std::size_t cpos = 0;
-      while (cpos <= seg.size()) {
-        std::size_t comma = seg.find(',', cpos);
-        if (comma == std::string::npos) {
-          comma = seg.size();
-        }
-        std::string tok = seg.substr(cpos, comma - cpos);
-        cpos = comma + 1;
+      const bool ok = ForEachPlanItem(seg, ',', [out, error, &any_component](std::string tok) {
         std::size_t i = 0;
         SkipWs(tok, &i);
         std::size_t end = tok.size();
@@ -198,9 +134,6 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
           --end;
         }
         tok = tok.substr(i, end - i);
-        if (tok.empty()) {
-          continue;
-        }
         const std::size_t eq = tok.find('=');
         if (eq == std::string::npos) {
           *error = "expected COMPONENT=COUNT in \"" + tok + "\" (io, pressure or poison)";
@@ -225,6 +158,10 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
           return false;
         }
         any_component = true;
+        return true;
+      });
+      if (!ok) {
+        return false;
       }
       continue;
     }
@@ -241,7 +178,8 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
         return false;
       }
     } else if (key == "span") {
-      if (!ParseTime(val, &out->span) || out->span == 0) {
+      std::size_t i = 0;
+      if (!ParseTime(val, &i, &out->span) || i != val.size() || out->span == 0) {
         *error = "bad storm span in \"" + seg + "\" (want e.g. span=80ms)";
         return false;
       }

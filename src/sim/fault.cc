@@ -1,8 +1,5 @@
 #include "src/sim/fault.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "src/sim/assert.h"
 
 namespace sim {
@@ -69,26 +66,6 @@ std::optional<InjectedFault> FaultInjector::OnOp(IoDevice dev, IoDir dir,
 
 namespace {
 
-void SkipWs(const std::string& s, std::size_t* i) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])) != 0) {
-    ++*i;
-  }
-}
-
-bool ParseU64(const std::string& s, std::size_t* i, std::uint64_t* out) {
-  std::size_t start = *i;
-  std::uint64_t v = 0;
-  while (*i < s.size() && std::isdigit(static_cast<unsigned char>(s[*i])) != 0) {
-    v = v * 10 + static_cast<std::uint64_t>(s[*i] - '0');
-    ++*i;
-  }
-  if (*i == start) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseOneMemEvent(const std::string& tok, MemFaultEvent* ev, std::string* error) {
   std::size_t i = 0;
   SkipWs(tok, &i);
@@ -97,23 +74,10 @@ bool ParseOneMemEvent(const std::string& tok, MemFaultEvent* ev, std::string* er
     return false;
   }
   ++i;
-  std::uint64_t t = 0;
-  if (!ParseU64(tok, &i, &t)) {
+  if (!ParseTime(tok, &i, &ev->at)) {
     *error = "bad time in \"" + tok + "\"";
     return false;
   }
-  // Optional unit suffix; default is nanoseconds.
-  std::uint64_t scale = 1;
-  if (tok.compare(i, 2, "ns") == 0) {
-    i += 2;
-  } else if (tok.compare(i, 2, "us") == 0) {
-    scale = 1'000, i += 2;
-  } else if (tok.compare(i, 2, "ms") == 0) {
-    scale = 1'000'000, i += 2;
-  } else if (i < tok.size() && tok[i] == 's') {
-    scale = 1'000'000'000, i += 1;
-  }
-  ev->at = static_cast<Nanoseconds>(t * scale);
   SkipWs(tok, &i);
   if (tok.compare(i, 6, "poison") != 0) {
     *error = "expected 'poison' in \"" + tok + "\"";
@@ -147,41 +111,18 @@ bool ParseOneMemEvent(const std::string& tok, MemFaultEvent* ev, std::string* er
 
 bool ParseMemFaultPlan(const std::string& spec, MemFaultPlan* out, std::string* error) {
   out->events.clear();
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) {
-      semi = spec.size();
-    }
-    std::string tok = spec.substr(pos, semi - pos);
-    pos = semi + 1;
-    // Allow empty segments (trailing ';', blank spec).
-    std::size_t i = 0;
-    SkipWs(tok, &i);
-    if (i == tok.size()) {
-      continue;
-    }
+  return ForEachPlanItem(spec, ';', [out, error](const std::string& tok) {
     MemFaultEvent ev;
     if (!ParseOneMemEvent(tok, &ev, error)) {
       return false;
     }
     out->events.push_back(ev);
-  }
-  return true;
-}
-
-void FaultInjector::SetMemPlan(const MemFaultPlan& plan) {
-  mem_events_ = plan.events;
-  // Same-timestamp events keep spec order.
-  std::stable_sort(mem_events_.begin(), mem_events_.end(),
-                   [](const MemFaultEvent& a, const MemFaultEvent& b) { return a.at < b.at; });
-  mem_next_ = 0;
+    return true;
+  });
 }
 
 void FaultInjector::ApplyDueMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
-  while (mem_next_ < mem_events_.size() && mem_events_[mem_next_].at <= now) {
-    const MemFaultEvent& ev = mem_events_[mem_next_];
-    ++mem_next_;
+  mem_events_.ApplyDue(now, [&](const MemFaultEvent& ev) {
     SIM_ASSERT_MSG(mem_actuator_ != nullptr,
                    "memfault plan installed with no registered actuator");
     mem_actuator_(ev, rng_);
@@ -189,7 +130,7 @@ void FaultInjector::ApplyDueMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
     if (tracer.enabled()) {
       tracer.Instant(CostCat::kPoison, "memfault", now, ev.random ? ev.count : 1);
     }
-  }
+  });
 }
 
 }  // namespace sim

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/plan.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
@@ -139,23 +140,18 @@ class FaultInjector {
 
   // Install a plan; events are applied in (time, spec order). Replaces any
   // previous plan and restarts from the first event.
-  void SetMemPlan(const MemFaultPlan& plan);
-  void ClearMemPlan() {
-    mem_events_.clear();
-    mem_next_ = 0;
-  }
+  void SetMemPlan(const MemFaultPlan& plan) { mem_events_.Install(plan.events); }
   void RegisterMemActuator(MemActuator fn) { mem_actuator_ = std::move(fn); }
 
   bool has_mem_plan() const { return !mem_events_.empty(); }
-  std::size_t pending_mem_events() const { return mem_events_.size() - mem_next_; }
+  std::size_t pending_mem_events() const { return mem_events_.pending(); }
 
   // Apply every memory-fault event due at or before `now`. Charges nothing;
   // counts stats.memfault_events and emits one trace instant per event.
   void PollMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
-    if (mem_next_ >= mem_events_.size() || mem_events_[mem_next_].at > now) {
-      return;
+    if (mem_events_.Due(now)) {
+      ApplyDueMem(now, stats, tracer);
     }
-    ApplyDueMem(now, stats, tracer);
   }
 
  private:
@@ -172,8 +168,7 @@ class FaultInjector {
 
   Rng rng_;
   State state_[2];
-  std::vector<MemFaultEvent> mem_events_;
-  std::size_t mem_next_ = 0;
+  TimedEventQueue<MemFaultEvent> mem_events_;
   MemActuator mem_actuator_;
 };
 

@@ -1,8 +1,5 @@
 #include "src/sim/pressure.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "src/sim/assert.h"
 
 namespace sim {
@@ -19,26 +16,6 @@ const char* PressureResourceName(PressureResource r) {
 
 namespace {
 
-void SkipWs(const std::string& s, std::size_t* i) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])) != 0) {
-    ++*i;
-  }
-}
-
-bool ParseU64(const std::string& s, std::size_t* i, std::uint64_t* out) {
-  std::size_t start = *i;
-  std::uint64_t v = 0;
-  while (*i < s.size() && std::isdigit(static_cast<unsigned char>(s[*i])) != 0) {
-    v = v * 10 + static_cast<std::uint64_t>(s[*i] - '0');
-    ++*i;
-  }
-  if (*i == start) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseOneEvent(const std::string& tok, PressureEvent* ev, std::string* error) {
   std::size_t i = 0;
   SkipWs(tok, &i);
@@ -47,23 +24,10 @@ bool ParseOneEvent(const std::string& tok, PressureEvent* ev, std::string* error
     return false;
   }
   ++i;
-  std::uint64_t t = 0;
-  if (!ParseU64(tok, &i, &t)) {
+  if (!ParseTime(tok, &i, &ev->at)) {
     *error = "bad time in \"" + tok + "\"";
     return false;
   }
-  // Optional unit suffix; default is nanoseconds.
-  std::uint64_t scale = 1;
-  if (tok.compare(i, 2, "ns") == 0) {
-    i += 2;
-  } else if (tok.compare(i, 2, "us") == 0) {
-    scale = 1'000, i += 2;
-  } else if (tok.compare(i, 2, "ms") == 0) {
-    scale = 1'000'000, i += 2;
-  } else if (i < tok.size() && tok[i] == 's') {
-    scale = 1'000'000'000, i += 1;
-  }
-  ev->at = static_cast<Nanoseconds>(t * scale);
   SkipWs(tok, &i);
   if (tok.compare(i, 4, "phys") == 0) {
     ev->res = PressureResource::kPhysPages;
@@ -106,41 +70,18 @@ bool ParseOneEvent(const std::string& tok, PressureEvent* ev, std::string* error
 
 bool ParsePressurePlan(const std::string& spec, PressurePlan* out, std::string* error) {
   out->events.clear();
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) {
-      semi = spec.size();
-    }
-    std::string tok = spec.substr(pos, semi - pos);
-    pos = semi + 1;
-    // Allow empty segments (trailing ';', blank spec).
-    std::size_t i = 0;
-    SkipWs(tok, &i);
-    if (i == tok.size()) {
-      continue;
-    }
+  return ForEachPlanItem(spec, ';', [out, error](const std::string& tok) {
     PressureEvent ev;
     if (!ParseOneEvent(tok, &ev, error)) {
       return false;
     }
     out->events.push_back(ev);
-  }
-  return true;
-}
-
-void PressureEngine::SetPlan(const PressurePlan& plan) {
-  events_ = plan.events;
-  // Same-timestamp events keep spec order.
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const PressureEvent& a, const PressureEvent& b) { return a.at < b.at; });
-  next_ = 0;
+    return true;
+  });
 }
 
 void PressureEngine::ApplyDue(Nanoseconds now, Stats& stats, Tracer& tracer) {
-  while (next_ < events_.size() && events_[next_].at <= now) {
-    const PressureEvent& ev = events_[next_];
-    ++next_;
+  events_.ApplyDue(now, [&](const PressureEvent& ev) {
     const Actuator& fn = actuators_[static_cast<std::size_t>(ev.res)];
     SIM_ASSERT_MSG(fn != nullptr, "pressure plan targets a resource with no registered actuator");
     fn(ev);
@@ -150,7 +91,7 @@ void PressureEngine::ApplyDue(Nanoseconds now, Stats& stats, Tracer& tracer) {
                      ev.res == PressureResource::kPhysPages ? "pressure_phys" : "pressure_swap",
                      now, ev.amount);
     }
-  }
+  });
 }
 
 }  // namespace sim

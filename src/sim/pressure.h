@@ -18,12 +18,14 @@
 #ifndef SRC_SIM_PRESSURE_H_
 #define SRC_SIM_PRESSURE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/sim/plan.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
 #include "src/sim/types.h"
@@ -59,6 +61,30 @@ struct PressurePlan {
   bool empty() const { return events.empty(); }
 };
 
+// The balloon target `ev` asks of a pool of `capacity` units whose balloon
+// currently targets `current`: a shrink adds to the balloon, a grow deflates
+// it (never below empty), a set leaves exactly `amount` units in service.
+// Never more than the whole pool, so a shrink larger than what is left in
+// service takes the whole pool rather than wrapping. Both resource owners
+// size their balloon with this one rule.
+inline std::size_t BalloonTarget(std::size_t current, std::size_t capacity,
+                                 const PressureEvent& ev) {
+  const auto amount = static_cast<std::size_t>(ev.amount);
+  std::size_t target = current;
+  switch (ev.op) {
+    case PressureOp::kShrink:
+      target = amount >= capacity - std::min(target, capacity) ? capacity : target + amount;
+      break;
+    case PressureOp::kGrow:
+      target -= std::min(target, amount);
+      break;
+    case PressureOp::kSetAvail:
+      target = capacity > ev.amount ? capacity - amount : 0;
+      break;
+  }
+  return std::min(target, capacity);
+}
+
 // Parse a plan spec of ';'-separated events:
 //
 //   @TIME RES OP AMOUNT      e.g.  "@0ms phys-=7168; @5ms swap=1700"
@@ -79,11 +105,7 @@ class PressureEngine {
 
   // Install a plan; events are applied in (time, spec order). Replaces any
   // previous plan and restarts from the first event.
-  void SetPlan(const PressurePlan& plan);
-  void Clear() {
-    events_.clear();
-    next_ = 0;
-  }
+  void SetPlan(const PressurePlan& plan) { events_.Install(plan.events); }
 
   // The owner of `res` registers how to actually shrink/grow its pool.
   void RegisterActuator(PressureResource res, Actuator fn) {
@@ -92,22 +114,20 @@ class PressureEngine {
 
   bool has_plan() const { return !events_.empty(); }
   // Events not yet applied.
-  std::size_t pending_events() const { return events_.size() - next_; }
+  std::size_t pending_events() const { return events_.pending(); }
 
   // Apply every event due at or before `now`. Charges nothing; counts
   // stats.pressure_events and emits one trace instant per event applied.
   void Poll(Nanoseconds now, Stats& stats, Tracer& tracer) {
-    if (next_ >= events_.size() || events_[next_].at > now) {
-      return;
+    if (events_.Due(now)) {
+      ApplyDue(now, stats, tracer);
     }
-    ApplyDue(now, stats, tracer);
   }
 
  private:
   void ApplyDue(Nanoseconds now, Stats& stats, Tracer& tracer);
 
-  std::vector<PressureEvent> events_;
-  std::size_t next_ = 0;
+  TimedEventQueue<PressureEvent> events_;
   Actuator actuators_[kNumPressureResources];
 };
 

@@ -106,22 +106,6 @@ void SwapDevice::SetBalloonTarget(std::size_t target) {
   ReleaseBalloon();
 }
 
-void SwapDevice::ApplyPressure(const sim::PressureEvent& ev) {
-  std::size_t target = balloon_target_;
-  switch (ev.op) {
-    case sim::PressureOp::kShrink:
-      target += static_cast<std::size_t>(ev.amount);
-      break;
-    case sim::PressureOp::kGrow:
-      target -= target < ev.amount ? target : static_cast<std::size_t>(ev.amount);
-      break;
-    case sim::PressureOp::kSetAvail:
-      target = num_slots_ > ev.amount ? num_slots_ - static_cast<std::size_t>(ev.amount) : 0;
-      break;
-  }
-  SetBalloonTarget(target);
-}
-
 void SwapDevice::AbsorbBalloon() {
   // Claim the highest-numbered free slots first, away from the allocation
   // hint's locality.

@@ -40,7 +40,9 @@ class SwapDevice {
         bytes_(num_slots * sim::kPageSize) {
     machine.pressure().RegisterActuator(
         sim::PressureResource::kSwapSlots,
-        [this](const sim::PressureEvent& ev) { ApplyPressure(ev); });
+        [this](const sim::PressureEvent& ev) {
+          SetBalloonTarget(sim::BalloonTarget(balloon_target_, num_slots_, ev));
+        });
   }
 
   SwapDevice(const SwapDevice&) = delete;
@@ -133,7 +135,6 @@ class SwapDevice {
   // the used set, and count the remap.
   void RetireSlot(std::int32_t slot);
 
-  void ApplyPressure(const sim::PressureEvent& ev);
   void AbsorbBalloon();   // free slots -> balloon, up to target
   void ReleaseBalloon();  // balloon -> free slots, down to target
 

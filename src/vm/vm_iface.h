@@ -184,7 +184,7 @@ class VmSystem {
   virtual int Extract(AddressSpace& src, sim::Vaddr src_va, std::uint64_t len, AddressSpace& dst,
                       sim::Vaddr* dst_va, ExtractMode mode);
 
-  // --- Introspection (Table 1 and invariant checks) ---
+  // --- Introspection (Table 1, the killer, tests) ---
   virtual std::size_t KernelMapEntries() const = 0;
   // Frames resident in this address space's mappings (excluding the kernel).
   virtual std::size_t ResidentPages(AddressSpace& as) const = 0;
@@ -194,8 +194,6 @@ class VmSystem {
   virtual std::size_t AnonResidentPages(AddressSpace& as) const = 0;
   // The retry/backoff knobs this VM instance was configured with.
   virtual const VmTuning& tuning() const = 0;
-  // Run internal consistency checks; panics on violation (tests call this).
-  virtual void CheckInvariants() = 0;
 };
 
 }  // namespace kern

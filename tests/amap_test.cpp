@@ -147,7 +147,7 @@ TEST(AnonSemanticsTest, ForkChildWriteCopiesOnlyTouchedPages) {
   EXPECT_EQ(10u, vm->LiveAnons());  // two pages copied, six still shared
   w.kernel->Exit(c);
   EXPECT_EQ(8u, vm->LiveAnons());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(AnonSemanticsTest, ChildWithSoleAmapReferenceReusesIt) {
@@ -170,7 +170,7 @@ TEST(AnonSemanticsTest, ChildWithSoleAmapReferenceReusesIt) {
   EXPECT_EQ(amaps_before + 1, w.machine.stats().amaps_allocated);
   EXPECT_EQ(2u, vm->LiveAmaps());
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(AnonSemanticsTest, AnonCountMatchesAccessiblePages) {
@@ -191,7 +191,7 @@ TEST(AnonSemanticsTest, AnonCountMatchesAccessiblePages) {
   }
   // Only the parent is alive: exactly npages pages are reachable.
   EXPECT_EQ(npages, vm->LiveAnons());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(BsdObjectTest, ForkWriteForkWriteGrowsChains) {
   for (kern::Proc* c : children) {
     w.kernel->Exit(c);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(BsdObjectTest, CollapseShortensChainAfterChildrenExit) {
@@ -82,7 +82,7 @@ TEST(BsdObjectTest, CollapseShortensChainAfterChildrenExit) {
   w.kernel->TouchWrite(p, addr, 8 * sim::kPageSize, std::byte{3});
   EXPECT_LT(Bsd(w)->MaxChainDepth(*p->as), deep);
   EXPECT_GT(w.machine.stats().collapses_done, 0u);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(BsdObjectTest, SwapBackedShadowChainLeaksMemory) {
@@ -111,7 +111,7 @@ TEST(BsdObjectTest, SwapBackedShadowChainLeaksMemory) {
   }
   // ...but BSD VM is holding more: the leak.
   EXPECT_GT(Bsd(w)->TotalAnonPages(), npages);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(BsdObjectTest, UvmSameScenarioDoesNotLeak) {
@@ -131,7 +131,7 @@ TEST(BsdObjectTest, UvmSameScenarioDoesNotLeak) {
   w.kernel->Exit(c);
   // Anon refcounting frees everything unreachable: exactly npages anons.
   EXPECT_EQ(npages, vm->LiveAnons());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(BsdObjectTest, ObjectCacheKeepsUnreferencedVnodeObjects) {
@@ -242,7 +242,7 @@ TEST(BsdObjectTest, CollapseFreesObscuredPages) {
   // Next fault collapses; only one copy of each page must remain.
   w.kernel->TouchWrite(p, addr, sim::kPageSize, std::byte{3});
   EXPECT_EQ(npages, Bsd(w)->TotalAnonPages());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

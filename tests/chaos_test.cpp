@@ -49,7 +49,8 @@ TEST(ChaosSpecTest, SchedSpecParsesEveryStrategy) {
 TEST(ChaosSpecTest, SchedSpecRejectsMalformedInput) {
   sim::SchedSpec spec;
   std::string error;
-  for (const char* bad : {"", "bogus", "pct0", "rr5", "burst9", "pct3:abc", "pb:1:2", "pb-4"}) {
+  for (const char* bad : {"", "bogus", "pct0", "rr5", "burst9", "pct3:abc", "pb:1:2", "pb-4",
+                          "pct99999999999999999999", "pct3:99999999999999999999"}) {
     EXPECT_FALSE(sim::ParseSchedSpec(bad, &spec, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
@@ -94,7 +95,8 @@ TEST(ChaosSpecTest, ChaosSpecRejectsMalformedInput) {
   std::string error;
   for (const char* bad :
        {"", "wat=3", "io", "io=x", "io=1:span=0", "io=1:wat=3", "io=1:seed=x",
-        "io=1:span=5lightyears"}) {
+        "io=1:span=5lightyears", "io=99999999999999999999", "io=1:span=20000000000s",
+        "io=1:seed=99999999999999999999"}) {
     EXPECT_FALSE(sim::ParseChaosSpec(bad, &spec, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }

@@ -66,7 +66,7 @@ TEST_P(DeviceTest, PrivateMappingIsCowOverDevice) {
   std::vector<std::byte> b(1);
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a, b));
   EXPECT_EQ(std::byte{0x01}, b[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(DeviceTest, DevicePagesSurviveMemoryPressure) {
@@ -85,7 +85,7 @@ TEST_P(DeviceTest, DevicePagesSurviveMemoryPressure) {
   w2.kernel->TouchWrite(p, hog, 120 * sim::kPageSize, std::byte{1});
   // The device frame was never paged out or repurposed.
   EXPECT_EQ(std::byte{0x77}, w2.pm.Data(dev->pages[0])[0]);
-  w2.vm->CheckInvariants();
+  w2.CheckInvariants();
 }
 
 TEST_P(DeviceTest, FaultBeyondDeviceFails) {

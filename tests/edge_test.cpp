@@ -40,7 +40,7 @@ TEST_P(EdgeTest, RepeatedFaultOnSamePageIsIdempotent) {
     EXPECT_EQ(sim::kOk, w.vm->Fault(*p->as, a, sim::Access::kWrite));
   }
   EXPECT_EQ(1u, p->as->pmap().resident_count());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(EdgeTest, ProtectChurnOverCowKeepsData) {
@@ -57,7 +57,7 @@ TEST_P(EdgeTest, ProtectChurnOverCowKeepsData) {
   EXPECT_EQ(std::byte{0x5e}, ReadByte(c, a));
   EXPECT_EQ(std::byte{0x60}, ReadByte(p, a));
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(EdgeTest, InheritanceChangeAfterForkOnlyAffectsNextFork) {
@@ -74,7 +74,7 @@ TEST_P(EdgeTest, InheritanceChangeAfterForkOnlyAffectsNextFork) {
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(c2, a, b));
   w.kernel->Exit(c1);
   w.kernel->Exit(c2);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(EdgeTest, MsyncOfCleanRangeDoesNothing) {
@@ -103,7 +103,7 @@ TEST_P(EdgeTest, ExitUnderMemoryPressureReleasesEverything) {
     w2.kernel->Exit(p);
     EXPECT_EQ(swap_used_before, w2.swap.used_slots()) << "round " << round;
   }
-  w2.vm->CheckInvariants();
+  w2.CheckInvariants();
 }
 
 TEST_P(EdgeTest, ZeroFillReadThenWriteUpgrades) {
@@ -113,7 +113,7 @@ TEST_P(EdgeTest, ZeroFillReadThenWriteUpgrades) {
   EXPECT_EQ(std::byte{0}, ReadByte(p, a));  // read fault first
   ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 1, std::byte{0x2a}));
   EXPECT_EQ(std::byte{0x2a}, ReadByte(p, a));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(EdgeTest, ForkOfProcessWithEverything) {
@@ -147,7 +147,7 @@ TEST_P(EdgeTest, ForkOfProcessWithEverything) {
   EXPECT_EQ(std::byte{8}, ReadByte(p, file_sh));
   w.kernel->Exit(c);
   w.kernel->Exit(p);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, EdgeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),

@@ -27,7 +27,7 @@ TEST_P(MadvFreeTest, DiscardsContentsAndRereadsZero) {
   EXPECT_EQ(std::byte{0x77}, b[0]);  // outside the range: untouched
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 7 * sim::kPageSize, b));
   EXPECT_EQ(std::byte{0x77}, b[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MadvFreeTest, FreesMemoryAndSwap) {
@@ -44,7 +44,7 @@ TEST_P(MadvFreeTest, FreesMemoryAndSwap) {
   ASSERT_EQ(sim::kOk, w.kernel->MadvFree(p, a, 48 * sim::kPageSize));
   EXPECT_GT(w.pm.free_pages(), free_before);
   EXPECT_LT(w.swap.used_slots(), swap_before);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MadvFreeTest, DoesNotTouchSharedCowMemory) {
@@ -61,7 +61,7 @@ TEST_P(MadvFreeTest, DoesNotTouchSharedCowMemory) {
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(c, a, b));
   EXPECT_EQ(std::byte{0x42}, b[0]);
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, MadvFreeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
@@ -140,7 +140,7 @@ TEST_P(VforkTest, ChildSharesAddressSpace) {
   // Parent's address space survives the child's exit.
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a, b));
   EXPECT_EQ(std::byte{2}, b[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(VforkTest, VforkIsMuchCheaperThanFork) {
@@ -188,7 +188,7 @@ TEST(SwapInClusterTest, ClusteredSwapInUsesFewerOperations) {
       w.kernel->ReadMem(p, a + i * sim::kPageSize, b);
       EXPECT_EQ(std::byte{0x21}, b[0]);
     }
-    w.vm->CheckInvariants();
+    w.CheckInvariants();
     return w.machine.stats().swap_ops - ops_before;
   };
   std::uint64_t without = swap_in_ops(false);
@@ -214,7 +214,7 @@ TEST(SwapInClusterTest, ClusterRoundTripPreservesBytes) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, b));
     EXPECT_EQ(std::byte{static_cast<unsigned char>(i)}, b[0]) << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(EntryMergeTest, AdjacentAnonMappingsCoalesce) {
@@ -235,7 +235,7 @@ TEST(EntryMergeTest, AdjacentAnonMappingsCoalesce) {
   std::vector<std::byte> v(1);
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 7 * sim::kPageSize, v));
   EXPECT_EQ(std::byte{5}, v[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(EntryMergeTest, IncompatibleNeighborsDoNotMerge) {

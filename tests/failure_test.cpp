@@ -47,7 +47,7 @@ TEST_P(FailureTest, SwapExhaustionSurfacesAsNoMem) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, b)) << i;
     EXPECT_EQ(std::byte{1}, b[0]);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(FailureTest, WiringEverythingEventuallyFails) {
@@ -69,7 +69,7 @@ TEST_P(FailureTest, WiringEverythingEventuallyFails) {
   }
   EXPECT_EQ(sim::kErrNoMem, err);
   EXPECT_GT(wired_regions, 2);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(FailureTest, KernelMapEntryPoolExhaustion) {
@@ -134,7 +134,7 @@ TEST_P(FailureTest, ExitWithEverythingOutstandingCleansUp) {
   std::size_t cached_file_pages = 8;
   EXPECT_GE(w.pm.free_pages() + cached_file_pages, free_at_start);
   EXPECT_EQ(0u, w.swap.used_slots());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(FailureTest, SwapFullThenFreedRecovers) {
@@ -157,7 +157,7 @@ TEST_P(FailureTest, SwapFullThenFreedRecovers) {
   sim::Vaddr b = 0;
   ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &b, 16 * sim::kPageSize, kern::MapAttrs{}));
   EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(p, b, 16 * sim::kPageSize, std::byte{2}));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(FailureTest, PageinErrorSurfacesAsEIO) {
@@ -188,7 +188,7 @@ TEST_P(FailureTest, PageinErrorSurfacesAsEIO) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, b)) << i;
     EXPECT_EQ(static_cast<std::byte>(i), b[0]) << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(FailureTest, PageoutRetriesUntilSuccess) {
@@ -222,7 +222,7 @@ TEST_P(FailureTest, PageoutRetriesUntilSuccess) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, b)) << i;
     EXPECT_EQ(static_cast<std::byte>(i), b[0]) << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 // Terminate-time flushes cannot report failure to anyone: when the
@@ -273,7 +273,7 @@ TEST_P(FailureTest, TerminateFlushDropsAreCounted) {
                                                 : cfg.uvm.tuning.max_pageout_retries;
   EXPECT_GE(s.pageout_retries, static_cast<std::uint64_t>(budget));
   EXPECT_GT(s.io_errors_injected, static_cast<std::uint64_t>(budget));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(PartialUnmapTest, UvmFreesAnonsOnPartialUnmapBsdCannot) {
@@ -291,7 +291,7 @@ TEST(PartialUnmapTest, UvmFreesAnonsOnPartialUnmapBsdCannot) {
     ASSERT_EQ(16u, vm->LiveAnons());
     ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a + 4 * sim::kPageSize, 8 * sim::kPageSize));
     EXPECT_EQ(8u, vm->LiveAnons());
-    w.vm->CheckInvariants();
+    w.CheckInvariants();
   }
   {
     World w(VmKind::kBsd);
@@ -305,7 +305,7 @@ TEST(PartialUnmapTest, UvmFreesAnonsOnPartialUnmapBsdCannot) {
     // Only full teardown releases them.
     ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, 16 * sim::kPageSize));
     EXPECT_EQ(0u, vm->TotalAnonPages());
-    w.vm->CheckInvariants();
+    w.CheckInvariants();
   }
 }
 

@@ -182,7 +182,7 @@ TEST_P(FilePropertyTest, RandomFileOpsMatchModel) {
       }
     }
     if (op % 150 == 149) {
-      w.vm->CheckInvariants();
+      w.CheckInvariants();
     }
   }
 
@@ -199,7 +199,7 @@ TEST_P(FilePropertyTest, RandomFileOpsMatchModel) {
     w.kernel->Exit(mp.proc);
   }
   w.vm->PageDaemon(w.pm.total_pages());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(

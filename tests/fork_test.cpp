@@ -76,7 +76,7 @@ TEST_P(ForkTest, MinheritShareOfPrivateAnonSharesWrites) {
   w.kernel->TouchWrite(p, a + sim::kPageSize, 1, std::byte{3});
   EXPECT_EQ(std::byte{3}, ReadByte(c, a + sim::kPageSize));
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, MinheritCopyOfSharedFileMappingSnapshotsChild) {
@@ -95,7 +95,7 @@ TEST_P(ForkTest, MinheritCopyOfSharedFileMappingSnapshotsChild) {
   EXPECT_EQ(vfs::Filesystem::PatternByte("/f", 0), ReadByte(p, a));
   EXPECT_EQ(std::byte{0x61}, ReadByte(c, a));
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, MinheritShareThenGrandchildInheritsShare) {
@@ -110,7 +110,7 @@ TEST_P(ForkTest, MinheritShareThenGrandchildInheritsShare) {
   EXPECT_EQ(std::byte{0x33}, ReadByte(c, a));
   w.kernel->Exit(g);
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, GrandchildCowIsolation) {
@@ -129,7 +129,7 @@ TEST_P(ForkTest, GrandchildCowIsolation) {
   EXPECT_EQ(std::byte{0x10}, ReadByte(g, a + 3 * sim::kPageSize));
   w.kernel->Exit(g);
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, DeepForkChainKeepsDataIntact) {
@@ -151,7 +151,7 @@ TEST_P(ForkTest, DeepForkChainKeepsDataIntact) {
     w.kernel->Exit(chain[depth]);
   }
   EXPECT_EQ(std::byte{0}, ReadByte(p, a));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, ForkTreeWithDivergentWrites) {
@@ -180,7 +180,7 @@ TEST_P(ForkTest, ForkTreeWithDivergentWrites) {
   for (std::size_t i = 0; i < npages; ++i) {
     EXPECT_EQ(std::byte{0xf0}, ReadByte(root, a + i * sim::kPageSize));
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ForkTest, ForkAfterPageoutStillIsolates) {
@@ -205,7 +205,7 @@ TEST_P(ForkTest, ForkAfterPageoutStillIsolates) {
     EXPECT_EQ(std::byte{static_cast<unsigned char>(i)}, b[0]) << i;
   }
   w2.kernel->Exit(c);
-  w2.vm->CheckInvariants();
+  w2.CheckInvariants();
 }
 
 TEST_P(ForkTest, FileMappingsInheritedCopyOnWrite) {
@@ -219,7 +219,7 @@ TEST_P(ForkTest, FileMappingsInheritedCopyOnWrite) {
   w.kernel->TouchWrite(c, a, 1, std::byte{0x72});
   EXPECT_EQ(std::byte{0x71}, ReadByte(p, a));
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, ForkTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),

@@ -102,7 +102,7 @@ TEST_P(ConservationTest, FramesAndSlotsConservedAcrossChurn) {
     // Every frame and every swap slot must come back after teardown.
     EXPECT_EQ(free0, w.pm.free_pages()) << "round " << round;
     EXPECT_EQ(swap0, w.swap.used_slots()) << "round " << round;
-    w.vm->CheckInvariants();
+    w.CheckInvariants();
   }
 }
 

@@ -106,7 +106,7 @@ TEST_P(KernelTest, ExitReleasesTransientWiringsLeftByBugs) {
   ASSERT_EQ(sim::kOk, w.vm->WireTransient(*p->as, a, 2 * sim::kPageSize, &tw));
   p->kernel_stack_wirings.push_back(std::move(tw));
   w.kernel->Exit(p);  // must not panic on wired pages
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, KernelTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),

@@ -51,7 +51,7 @@ TEST(LoanTest, LoanWiresAndUnloanReleases) {
     EXPECT_EQ(0, pg->loan_count);
     EXPECT_EQ(0, pg->wire_count);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, LoanFaultsInNonResidentPages) {
@@ -87,7 +87,7 @@ TEST(LoanTest, OwnerWriteDuringLoanPreservesLoanedData) {
   EXPECT_EQ(std::byte{0x22}, ReadByte(w, p, a));
   w.vm->Unloan(pages);  // frees the orphaned frame
   EXPECT_EQ(std::byte{0x22}, ReadByte(w, p, a));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, OwnerExitDuringLoanKeepsFrameAlive) {
@@ -103,7 +103,7 @@ TEST(LoanTest, OwnerExitDuringLoanKeepsFrameAlive) {
   EXPECT_EQ(std::byte{0x77}, w.pm.Data(pages[0])[0]);  // data still intact
   w.vm->Unloan(pages);
   EXPECT_GT(w.pm.free_pages(), free_before);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, LoanedPagesAreNotPagedOut) {
@@ -123,7 +123,7 @@ TEST(LoanTest, LoanedPagesAreNotPagedOut) {
     EXPECT_EQ(std::byte{0x88}, w.pm.Data(pg)[0]);  // untouched by the daemon
   }
   w.vm->Unloan(pages);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, PageTransferMovesDataWithoutCopy) {
@@ -144,7 +144,7 @@ TEST(LoanTest, PageTransferMovesDataWithoutCopy) {
   EXPECT_EQ(std::byte{0xab}, ReadByte(w, src, a));
   w.kernel->TouchWrite(src, a, 1, std::byte{0xef});
   EXPECT_EQ(std::byte{0xcd}, ReadByte(w, dst, out));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, TransferOfKernelPagesBecomesAnonymousMemory) {
@@ -167,7 +167,7 @@ TEST(LoanTest, TransferOfKernelPagesBecomesAnonymousMemory) {
   w.kernel->TouchWrite(c, out, 1, std::byte{0x99});
   EXPECT_EQ(std::byte{0x40}, ReadByte(w, dst, out));
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 class ExtractTest : public ::testing::Test {
@@ -192,7 +192,7 @@ TEST_F(ExtractTest, ShareModeSharesWrites) {
   EXPECT_EQ(std::byte{0x61}, ReadByte(w, src, a));
   w.kernel->TouchWrite(src, a + sim::kPageSize, 1, std::byte{0x62});
   EXPECT_EQ(std::byte{0x62}, ReadByte(w, dst, out + sim::kPageSize));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_F(ExtractTest, CopyModeIsCopyOnWrite) {
@@ -206,7 +206,7 @@ TEST_F(ExtractTest, CopyModeIsCopyOnWrite) {
   EXPECT_EQ(std::byte{0x60}, ReadByte(w, src, a));
   w.kernel->TouchWrite(src, a + sim::kPageSize, 1, std::byte{0x62});
   EXPECT_EQ(std::byte{0x60}, ReadByte(w, dst, out + sim::kPageSize));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_F(ExtractTest, MoveModeUnmapsSource) {
@@ -216,7 +216,7 @@ TEST_F(ExtractTest, MoveModeUnmapsSource) {
   EXPECT_EQ(std::byte{0x60}, ReadByte(w, dst, out));
   std::vector<std::byte> b(1);
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(src, a, b));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_F(ExtractTest, SubRangeExtractClipsCorrectly) {
@@ -226,7 +226,7 @@ TEST_F(ExtractTest, SubRangeExtractClipsCorrectly) {
   w.kernel->TouchWrite(dst, out, 1, std::byte{0x99});
   EXPECT_EQ(std::byte{0x99}, ReadByte(w, src, a + sim::kPageSize));
   EXPECT_EQ(std::byte{0x60}, ReadByte(w, src, a));  // outside the range
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_F(ExtractTest, UnmappedSourceRangeFails) {
@@ -256,7 +256,7 @@ TEST(LoanTest, SharedFileWriteDuringLoanBreaksObjectLoan) {
   // The write reaches the file on msync.
   ASSERT_EQ(sim::kOk, w.kernel->Msync(p, a, sim::kPageSize));
   w.vm->Unloan(loaned);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanTest, PageTransferFromFileMappingCopiesOnce) {
@@ -278,7 +278,7 @@ TEST(LoanTest, PageTransferFromFileMappingCopiesOnce) {
   EXPECT_EQ(vfs::Filesystem::PatternByte("/f", 0), ReadByte(w, dst, out));
   EXPECT_EQ(vfs::Filesystem::PatternByte("/f", 3 * sim::kPageSize),
             ReadByte(w, dst, out + 3 * sim::kPageSize));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(LoanRoundTrip, LoanTransferredDataSurvivesPageout) {
@@ -307,7 +307,7 @@ TEST(LoanRoundTrip, LoanTransferredDataSurvivesPageout) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(b_proc, out + i * sim::kPageSize, b));
     EXPECT_EQ(std::byte{static_cast<unsigned char>(0x50 + i)}, b[0]) << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST_P(MapTest, ProtectStopsAtTheEntryItsMaxProtRefuses) {
   std::vector<std::byte> byte(1);
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 3 * sim::kPageSize, byte));
   EXPECT_EQ(std::byte{3}, byte[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MapTest, SetAdviceClipsInteriorSubrange) {
@@ -133,7 +133,7 @@ TEST_P(MapTest, SetAdviceClipsInteriorSubrange) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, byte));
     EXPECT_EQ(std::byte{6}, byte[0]) << "page " << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MapTest, UnmapMiddleLeavesEnds) {
@@ -148,7 +148,7 @@ TEST_P(MapTest, UnmapMiddleLeavesEnds) {
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(p, a + 3 * sim::kPageSize, b));
   EXPECT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 4 * sim::kPageSize, b));
   EXPECT_EQ(std::byte{7}, b[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MapTest, UnmapSpanningMultipleEntries) {
@@ -173,7 +173,7 @@ TEST_P(MapTest, UnmapSpanningMultipleEntries) {
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(p, base + 5 * sim::kPageSize, b));
   EXPECT_EQ(sim::kOk, w.kernel->ReadMem(p, base, b));
   EXPECT_EQ(sim::kOk, w.kernel->ReadMem(p, base + 7 * sim::kPageSize, b));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(MapTest, UnmapOfUnmappedRangeIsNoop) {

@@ -205,7 +205,7 @@ TEST_P(DaemonTest, SwapRoundTripPreservesEveryByte) {
           << "page " << i << " byte " << j;
     }
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(DaemonTest, RepagingDirtiedSwappedPageReusesCycle) {
@@ -225,7 +225,7 @@ TEST_P(DaemonTest, RepagingDirtiedSwappedPageReusesCycle) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + i * sim::kPageSize, b));
     ASSERT_EQ(std::byte{0x02}, b[0]);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, DaemonTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
@@ -276,7 +276,7 @@ TEST(DaemonClusteringTest, UvmReassignsSwapSlotsContiguously) {
   w.vm->PageDaemon(w.pm.total_pages());
   std::uint64_t ops = w.machine.stats().swap_ops - before;
   EXPECT_EQ(1u, ops);  // 16 scattered dirty pages, one clustered write
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 }  // namespace

@@ -46,6 +46,9 @@ TEST(MemFaultPlanTest, MalformedSpecsAreRejectedWithAMessage) {
       "@10ms poison",           // missing target
       "@10ms poison random:",   // missing count
       "@10ms poison 42 junk",   // trailing junk
+      "@20000000000s poison 1",            // N × unit overflows Nanoseconds
+      "@1ms poison 99999999999999999999",  // pfn overflows 64 bits
+      "@1ms poison random:99999999999999999999",  // count overflows 64 bits
   };
   for (const char* spec : bad) {
     sim::MemFaultPlan plan;
@@ -53,6 +56,27 @@ TEST(MemFaultPlanTest, MalformedSpecsAreRejectedWithAMessage) {
     EXPECT_FALSE(sim::ParseMemFaultPlan(spec, &plan, &error)) << spec;
     EXPECT_FALSE(error.empty()) << spec;
   }
+}
+
+// The plan queue applies events in time order, events at the same time in
+// the order written, and leaves an event that is not yet due pending. The
+// order shows in poison_gen, which numbers injections as they happen.
+TEST(MemFaultPlanTest, EventsApplyInTimeThenWrittenOrder) {
+  sim::Machine machine;
+  phys::PhysMem pm(machine, 64);
+  sim::MemFaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(sim::ParseMemFaultPlan(
+      "@9ms poison 9; @1ms poison 7; @0 poison 5; @0 poison 3", &plan, &error))
+      << error;
+  machine.faults().SetMemPlan(plan);
+  machine.clock().Advance(1'000'000);
+  machine.PollPressure();
+  EXPECT_EQ(1u, pm.PageAt(5)->poison_gen);
+  EXPECT_EQ(2u, pm.PageAt(3)->poison_gen);
+  EXPECT_EQ(3u, pm.PageAt(7)->poison_gen);
+  EXPECT_FALSE(pm.PageAt(9)->poisoned);
+  EXPECT_EQ(1u, machine.faults().pending_mem_events());
 }
 
 // --- Injection mechanics ---

@@ -60,6 +60,9 @@ TEST(PressurePlanTest, MalformedSpecsAreRejectedWithAMessage) {
       "@1ms phys*=4",      // unknown operator
       "@1ms phys-=",       // missing amount
       "@1ms phys-=4 oops", // trailing junk
+      "@20000000000s phys-=1",          // N × unit overflows Nanoseconds
+      "@99999999999999999999 phys-=1",  // time overflows 64 bits
+      "@1ms phys-=99999999999999999999",  // amount overflows 64 bits
   };
   for (const char* spec : bad) {
     sim::PressurePlan plan;
@@ -105,6 +108,50 @@ TEST(PressureEngineTest, SetAvailClampsInServiceAmount) {
   EXPECT_EQ(4u, sd.free_slots());  // 5 in service, 1 already allocated
 }
 
+// A shrink larger than what is left in service takes the whole pool (down
+// to the balloon floor) instead of wrapping the balloon target.
+TEST(PressureEngineTest, ShrinkPastThePoolTakesTheWholePool) {
+  sim::Machine machine;
+  phys::PhysMem pm(machine, 64);
+  sim::PressurePlan plan;
+  std::string error;
+  ASSERT_TRUE(sim::ParsePressurePlan("@0 phys-=5; @0 phys-=18446744073709551615", &plan, &error))
+      << error;
+  machine.pressure().SetPlan(plan);
+  machine.PollPressure();
+  EXPECT_EQ(64u, pm.balloon_target());
+  EXPECT_EQ(60u, pm.balloon_pages());  // everything above the 4-frame floor
+}
+
+// The plan queue applies events in time order, events at the same time in
+// the order written, and leaves an event that is not yet due pending.
+TEST(PressureEngineTest, EventsApplyInTimeThenWrittenOrder) {
+  struct Outcome {
+    std::size_t balloon;
+    std::size_t pending;
+  };
+  auto run = [](const char* spec, sim::Nanoseconds until) {
+    sim::Machine machine;
+    phys::PhysMem pm(machine, 64);
+    sim::PressurePlan plan;
+    std::string error;
+    EXPECT_TRUE(sim::ParsePressurePlan(spec, &plan, &error)) << error;
+    machine.pressure().SetPlan(plan);
+    machine.clock().Advance(until);
+    machine.PollPressure();
+    return Outcome{pm.balloon_pages(), machine.pressure().pending_events()};
+  };
+  // Same time: shrink by 4 then leave 60 in service is a 4-page balloon;
+  // the other way round it is 8.
+  EXPECT_EQ(4u, run("@0 phys-=4; @0 phys=60", 0).balloon);
+  EXPECT_EQ(8u, run("@0 phys=60; @0 phys-=4", 0).balloon);
+  // Written out of time order: the 1ms pair applies (in written order),
+  // then the 2ms grow; the 5ms shrink is not due yet.
+  const Outcome o = run("@5ms phys-=30; @2ms phys+=1; @1ms phys-=4; @1ms phys=60", 2'000'000);
+  EXPECT_EQ(3u, o.balloon);
+  EXPECT_EQ(1u, o.pending);
+}
+
 // --- Worlds under a plan ---
 
 TEST(PressureWorldTest, InstallingAPlanArmsDefaultsAndApplies) {
@@ -146,13 +193,16 @@ WorldConfig PressureConfig(std::size_t ram_pages, std::size_t swap_slots) {
   WorldConfig cfg;
   cfg.ram_pages = ram_pages;
   cfg.swap_slots = swap_slots;
-  // The reserve must sit strictly below the daemon's free target
-  // (ram/20 + 4), or the daemon stops reclaiming exactly where normal
-  // allocations still fail.
-  cfg.free_reserve_pages = 4;
-  cfg.free_min_pages = 2;
-  cfg.swap_reserve_slots = 2;
   return cfg;
+}
+
+// The reserve must sit strictly below the daemon's free target
+// (ram/20 + 4), or the daemon stops reclaiming exactly where normal
+// allocations still fail.
+void SetReserves(World& w) {
+  w.pm.set_free_reserve(4);
+  w.pm.set_free_min(2);
+  w.swap.set_reserved_slots(2);
 }
 
 // Spawn a process with `npages` of touched (resident) anonymous memory,
@@ -197,6 +247,7 @@ class PressureTest : public ::testing::TestWithParam<VmKind> {};
 // spawned — and the driver's fault then completes.
 PressureOutcome RunLargestRssScenario(VmKind kind) {
   World w(kind, PressureConfig(/*ram_pages=*/96, /*swap_slots=*/16));
+  SetReserves(w);
   w.kernel->set_oom_killer(true);
   kern::Proc* driver = w.kernel->Spawn();
   kern::Proc* big = SpawnResident(w, 48);
@@ -219,7 +270,7 @@ PressureOutcome RunLargestRssScenario(VmKind kind) {
   EXPECT_GE(w.machine.stats().oom_pages_reclaimed, 48u);
   EXPECT_GT(w.machine.stats().fault_retries, 0u);
   EXPECT_GT(w.machine.stats().swap_full_events, 0u);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
   return Collect(w, {driver, big, small});
 }
 
@@ -227,6 +278,7 @@ TEST_P(PressureTest, KillerPicksLargestAnonymousRss) { RunLargestRssScenario(Get
 
 TEST_P(PressureTest, KillerBreaksRssTiesTowardLowestPid) {
   World w(GetParam(), PressureConfig(/*ram_pages=*/96, /*swap_slots=*/16));
+  SetReserves(w);
   w.kernel->set_oom_killer(true);
   kern::Proc* driver = w.kernel->Spawn();
   kern::Proc* first = SpawnResident(w, 32);
@@ -253,6 +305,7 @@ TEST_P(PressureTest, KillerBreaksRssTiesTowardLowestPid) {
 // process, and the rest of the system stays intact.
 TEST_P(PressureTest, FaultingVictimObservesErrorInsteadOfCompleting) {
   World w(GetParam(), PressureConfig(/*ram_pages=*/96, /*swap_slots=*/16));
+  SetReserves(w);
   w.kernel->set_oom_killer(true);
   kern::Proc* hog = w.kernel->Spawn();
   kern::Proc* bystander = SpawnResident(w, 8);
@@ -269,7 +322,7 @@ TEST_P(PressureTest, FaultingVictimObservesErrorInsteadOfCompleting) {
   EXPECT_FALSE(hog->alive);
   EXPECT_TRUE(bystander->alive);
   EXPECT_EQ(1u, w.machine.stats().oom_kills);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 // Same scenario, two fresh worlds: every counter, the victim set, the
@@ -286,6 +339,7 @@ TEST_P(PressureTest, OutOfSwapKillIsDeterministic) {
 // contract.
 TEST_P(PressureTest, DisarmedKillerSurfacesTypedErrorInstead) {
   World w(GetParam(), PressureConfig(/*ram_pages=*/96, /*swap_slots=*/16));
+  SetReserves(w);
   ASSERT_FALSE(w.kernel->oom_killer());
   kern::Proc* hog = w.kernel->Spawn();
   sim::Vaddr addr = 0;
@@ -299,7 +353,7 @@ TEST_P(PressureTest, DisarmedKillerSurfacesTypedErrorInstead) {
   EXPECT_EQ(sim::kErrNoMem, last_err);
   EXPECT_TRUE(hog->alive);
   EXPECT_EQ(0u, w.machine.stats().oom_kills);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, PressureTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),

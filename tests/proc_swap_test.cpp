@@ -27,7 +27,7 @@ TEST_P(ProcSwapTest, SwapOutUnwiresUareaSwapInRestores) {
   for (phys::Page* pg : p->kres.wired_pages) {
     EXPECT_EQ(1, pg->wire_count);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ProcSwapTest, SwapStateStorageMatchesSystemDesign) {
@@ -54,7 +54,7 @@ TEST_P(ProcSwapTest, ExitWhileSwappedOutCleansUp) {
   w.kernel->SwapOutProc(p);
   w.kernel->Exit(p);
   EXPECT_EQ(free_before, w.pm.free_pages());
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(ProcSwapTest, SwappedProcessStillRunsAfterSwapIn) {

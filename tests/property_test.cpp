@@ -161,7 +161,7 @@ TEST_P(PropertyTest, RandomOpsMatchReferenceModel) {
       }
     }
     if (op % 100 == 99) {
-      w.vm->CheckInvariants();
+      w.CheckInvariants();
     }
   }
 
@@ -173,7 +173,7 @@ TEST_P(PropertyTest, RandomOpsMatchReferenceModel) {
       ASSERT_EQ(pg.value, b[0]) << "final sweep mismatch at " << std::hex << va;
     }
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -275,8 +275,8 @@ TEST(CrossSystemEquivalenceTest, SameOpsSameVisibleMemory) {
         }
       }
     }
-    wb.vm->CheckInvariants();
-    wu.vm->CheckInvariants();
+    wb.CheckInvariants();
+    wu.CheckInvariants();
   }
 }
 

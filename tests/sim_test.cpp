@@ -164,7 +164,7 @@ TEST(ShmTest, SharedSegmentsWorkOnUvm) {
   EXPECT_EQ(std::byte{0x99}, buf[0]);
   ASSERT_EQ(sim::kOk, w.kernel->ShmDetach(b, shmid, va_b));
   ASSERT_EQ(sim::kOk, w.kernel->ShmRemove(shmid));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(ShmTest, BsdVmCannotShareUnrelatedAddressSpaces) {

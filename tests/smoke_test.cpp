@@ -27,7 +27,7 @@ TEST_P(SmokeTest, AnonWriteReadBack) {
   for (std::byte b : zero) {
     EXPECT_EQ(std::byte{0}, b);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, FileMappingReadsFileContents) {
@@ -43,7 +43,7 @@ TEST_P(SmokeTest, FileMappingReadsFileContents) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(vfs::Filesystem::PatternByte("/f", 3 * sim::kPageSize + 17 + i), got[i]);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, PrivateFileWriteDoesNotReachFile) {
@@ -66,7 +66,7 @@ TEST_P(SmokeTest, PrivateFileWriteDoesNotReachFile) {
   for (std::size_t i = 0; i < back.size(); ++i) {
     EXPECT_EQ(vfs::Filesystem::PatternByte("/f", 100 + i), back[i]);
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, SharedFileWriteReachesFileViaMsync) {
@@ -90,7 +90,7 @@ TEST_P(SmokeTest, SharedFileWriteReachesFileViaMsync) {
   std::vector<std::byte> back(10);
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(q, addr2 + 200, back));
   EXPECT_EQ(data, back);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, ForkCopyOnWriteIsolation) {
@@ -121,7 +121,7 @@ TEST_P(SmokeTest, ForkCopyOnWriteIsolation) {
   w.kernel->Exit(child);
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(parent, addr + 2 * sim::kPageSize, b));
   EXPECT_EQ(std::byte{0xaa}, b[0]);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, PagingUnderPressureRoundTrips) {
@@ -143,7 +143,7 @@ TEST_P(SmokeTest, PagingUnderPressureRoundTrips) {
     ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, addr + i * sim::kPageSize, b));
     ASSERT_EQ(std::byte{static_cast<unsigned char>(i * 7 + 1)}, b[0]) << "page " << i;
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST_P(SmokeTest, ProtectionEnforced) {
@@ -158,7 +158,7 @@ TEST_P(SmokeTest, ProtectionEnforced) {
   // Unmapped access faults.
   std::vector<std::byte> b(1);
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(p, 0x7000'0000, b));
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, SmokeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),

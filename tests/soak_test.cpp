@@ -133,13 +133,13 @@ SoakOutcome RunSoak(VmKind kind, const sim::FaultPlan& plan, std::uint64_t seed)
       }
       case 9: {  // memory pressure: pageouts run into the fault plan here
         w.vm->PageDaemon(w.pm.free_pages() + rng.Range(16, 64));
-        w.vm->CheckInvariants();  // every recovery leaves a sound system
+        w.CheckInvariants();  // every recovery leaves a sound system
         break;
       }
     }
     if (op % 64 == 63) {
       w.vm->PageDaemon(48);  // steady background pressure
-      w.vm->CheckInvariants();
+      w.CheckInvariants();
     }
   }
 
@@ -152,7 +152,7 @@ SoakOutcome RunSoak(VmKind kind, const sim::FaultPlan& plan, std::uint64_t seed)
                              << Describe(w);
     }
   }
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 
   const sim::Stats& s = w.machine.stats();
   return SoakOutcome{s.io_errors_injected, s.pagein_errors, s.pageout_retries,

@@ -103,7 +103,7 @@ TEST_P(TraceReplayTest, WireOpsRun) {
   )";
   auto res = kern::ReplayTrace(*w.kernel, trace);
   EXPECT_EQ(sim::kOk, res.err) << res.message << " at line " << res.line;
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, TraceReplayTest,

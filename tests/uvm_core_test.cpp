@@ -221,7 +221,7 @@ TEST(UvmFaultTest, SharedAnonMappingSharedAcrossFork) {
   ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, addr, b));
   EXPECT_EQ(std::byte{0x44}, b[0]);  // System-V-shm-style sharing
   w.kernel->Exit(c);
-  w.vm->CheckInvariants();
+  w.CheckInvariants();
 }
 
 TEST(UvmFaultTest, TwoPhaseUnmapHoldsLockShorterThanBsd) {
