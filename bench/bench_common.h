@@ -88,7 +88,6 @@ class ReproSession {
   }
 
   bool armed() const { return !repro_.empty(); }
-  const std::string& repro() const { return repro_; }
 
  private:
   ReproSession() = default;

@@ -28,10 +28,13 @@ The JSON written to --out maps bench name -> {sha256, lines, bytes,
 trace_events}, plus a toolchain-independent "observer_effect": "ok" marker
 that only appears if every check above passed.
 
---expect FILE compares each bench's stdout sha256 with a committed JSON of
-the same shape (BENCH_virtual.json, BENCH_pressure.json, BENCH_soak.json at
-the repo root) and fails naming every bench whose fingerprint moved. --out is written
-first, so an intended change is adopted by copying it over the baseline.
+--expect FILE compares every recorded field of each bench (sha256, lines,
+bytes, trace_events) with a committed JSON of the same shape
+(BENCH_virtual.json, BENCH_pressure.json, BENCH_soak.json at the repo root)
+and fails naming each bench and each field that moved. Tracing never
+changes stdout, so trace_events is what catches a moved or dropped trace
+span. --out is written first, so an intended change is adopted by copying
+it over the baseline.
 
 Usage: bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json
                              [--expect BENCH_virtual.json]
@@ -55,6 +58,9 @@ BENCHES = [
     "bench_sec7_loanout",
     "bench_ablation",
 ]
+
+# Every per-bench field --out records; --expect compares all of them.
+FIELDS = ("sha256", "lines", "bytes", "trace_events")
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TRACEVIEW = os.path.join(HERE, "..", "tools", "traceview", "traceview.py")
@@ -83,7 +89,7 @@ def main():
                     help="run the cross-layer auditor every MS virtual ms, "
                          "forwarded to every bench as --audit=MS")
     ap.add_argument("--expect", default=None, metavar="FILE",
-                    help="committed JSON whose per-bench sha256 every run "
+                    help="committed JSON whose per-bench fields every run "
                          "must reproduce")
     args = ap.parse_args()
 
@@ -158,15 +164,18 @@ def main():
     if args.expect:
         with open(args.expect, encoding="utf-8") as f:
             expected = json.load(f)
-        moved = [name for name in BENCHES
-                 if expected.get(name, {}).get("sha256") != result[name]["sha256"]]
-        for name in moved:
-            sys.stderr.write(f"bench_virtual: FAIL: {name}: stdout sha256 moved from "
-                             f"{expected.get(name, {}).get('sha256', 'none')} (in "
-                             f"{args.expect}) to {result[name]['sha256']}\n")
+        moved = 0
+        for name in BENCHES:
+            want = expected.get(name, {})
+            for field in FIELDS:
+                if want.get(field) != result[name][field]:
+                    moved += 1
+                    sys.stderr.write(f"bench_virtual: FAIL: {name}: {field} moved from "
+                                     f"{want.get(field, 'none')} (in {args.expect}) to "
+                                     f"{result[name][field]}\n")
         if moved:
             return 1
-        print(f"all {len(BENCHES)} fingerprints match {args.expect}")
+        print(f"all {len(BENCHES)} fingerprints ({', '.join(FIELDS)}) match {args.expect}")
     return 0
 
 

@@ -12,14 +12,10 @@
 
 namespace bsdvm {
 
-namespace {
-constexpr sim::Vaddr kUserMin = 0x0000'1000;
-constexpr sim::Vaddr kUserMax = 0xB000'0000;
-constexpr sim::Vaddr kKernMin = 0xC000'0000;
-constexpr sim::Vaddr kKernMax = 0x1'0000'0000;
-constexpr std::size_t kUPages = 2;       // u-area size
-constexpr std::size_t kKStackPages = 2;  // kernel stack size
-}  // namespace
+using kern::kKernMax;
+using kern::kKernMin;
+using kern::kUserMax;
+using kern::kUserMin;
 
 BsdAddressSpace::BsdAddressSpace(BsdVm& vm, bool is_kernel)
     : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
@@ -218,8 +214,8 @@ void BsdVm::TerminateObject(VmObject* obj) {
   SIM_ASSERT(obj->ref_count == 0 && !obj->in_cache_);
   // Flush dirty pages of vnode-backed objects back to the file. Terminate
   // cannot report failure, so flushes retry transient errors (the shared
-  // VmTuning retry budget, with the same backoff and accounting as the
-  // pagedaemon) and then drop the write, counting the drop (matching a
+  // kern::kMaxPageoutRetries budget, with the same backoff and accounting as
+  // the pagedaemon) and then drop the write, counting the drop (matching a
   // real kernel on dying media).
   if (!obj->internal_ && obj->pager != nullptr) {
     sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "bsd_terminate_flush");
@@ -227,7 +223,7 @@ void BsdVm::TerminateObject(VmObject* obj) {
       // A poisoned page's bytes are garbage; dropping the write keeps the
       // coherent pre-write copy on disk.
       if (page->dirty && !page->poisoned) {
-        int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+        int err = sim::RetryPageoutIo(machine_, kern::kMaxPageoutRetries,
                                       [&] { return obj->pager->PutPage(pm_, page, pgi); });
         if (err == sim::kErrIO) {
           ++machine_.stats().pageout_drops;
@@ -264,7 +260,7 @@ phys::Page* BsdVm::AllocPageInObject(VmObject* obj, std::uint64_t pgindex, bool 
 
 phys::Page* BsdVm::AllocPageReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                     bool zero) {
-  return phys::AllocOrReclaim(pm_, config_.tuning.max_alloc_retries, kind, owner, offset, zero,
+  return phys::AllocOrReclaim(pm_, kern::kMaxAllocRetries, kind, owner, offset, zero,
                               [this] { PageDaemon(pm_.free_target()); });
 }
 
@@ -420,12 +416,7 @@ int BsdVm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs
   // --- Step 1: vm_map_find() establishes the mapping with DEFAULT
   // attributes (read-write protection, copy inheritance, normal advice).
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.ChooseSpace(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -499,12 +490,7 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
   VmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.ChooseSpace(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -538,36 +524,6 @@ void BsdVm::RefClip(MapEntry& e) {
   }
 }
 
-int BsdVm::UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr end,
-                            std::vector<VmObject*>* drop) {
-  VmMap& map = as.map_;
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, start, end); err != sim::kOk) {
-    return err;
-  }
-  auto it = map.entries().begin();
-  while (it != map.entries().end()) {
-    if (it->end <= start) {
-      ++it;
-      continue;
-    }
-    if (it->start >= end) {
-      break;
-    }
-    it = map.ClipTo(it, start, end, [this](MapEntry& e) { RefClip(e); });
-    if (it->wired_count > 0) {
-      kern::UnwirePages(as.pmap_, pm_, it->start, it->end);
-    }
-    as.pmap_.RemoveRange(it->start, it->end);
-    if (it->object != nullptr) {
-      drop->push_back(it->object);
-    }
-    auto victim = it++;
-    map.EraseEntry(victim);
-  }
-  return sim::kOk;
-}
-
 int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_unmap");
   auto& as = static_cast<BsdAddressSpace&>(as_);
@@ -577,7 +533,14 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // BSD VM holds the map lock across the whole operation, including the
   // object dereferences that can trigger lengthy I/O (§3.1).
   map.Lock();
-  int err = UnmapRangeLocked(as, addr, addr + len, &drop);
+  int err = kern::UnmapRange(
+      map, as.pmap_, pm_, addr, addr + len, [this](MapEntry& e) { RefClip(e); },
+      [](MapEntry&) {},
+      [&](MapEntry& e) {
+        if (e.object != nullptr) {
+          drop.push_back(e.object);
+        }
+      });
   for (VmObject* obj : drop) {
     DerefObject(obj);
   }
@@ -720,7 +683,7 @@ int BsdVm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   auto& as = static_cast<BsdAddressSpace&>(as_);
   return kern::WireRange(
       as.map_, as.pmap_, pm_, addr, len, [this](MapEntry& e) { RefClip(e); },
-      [&](sim::Vaddr va, sim::Access acc) { return FaultWithMapLocked(as, va, acc); });
+      [&](sim::Vaddr va, sim::Access acc) { return FaultIn(as, va, acc, /*map_locked=*/true); });
 }
 
 int BsdVm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -746,7 +709,7 @@ int BsdVm::AllocProcResources(kern::ProcKernelResources* out) {
   // BSD: the u-area and kernel stack are wired allocations in the kernel
   // map — two kernel map entries per process (§3.2).
   VmMap& kmap = kernel_as_->map_;
-  for (std::size_t npages : {kUPages, kKStackPages}) {
+  for (std::size_t npages : {kern::kUPages, kern::kKStackPages}) {
     kmap.Lock();
     sim::Vaddr va = kernel_alloc_hint_;
     if (int err = kmap.FindSpace(&va, npages * sim::kPageSize); err != sim::kOk) {
@@ -880,48 +843,19 @@ kern::AddressSpace* BsdVm::Fork(kern::AddressSpace& parent_) {
 // ---------------------------------------------------------------------------
 // Fault handling (§5.1): chain walk, COW promotion, collapse attempts.
 
-int BsdVm::Fault(kern::AddressSpace& as_, sim::Vaddr va, sim::Access access) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "bsd_fault");
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-
-  VmMap& map = as.map_;
-  map.Lock();
-  int err = FaultBody(as, va, access);
-  map.Unlock();
-  return err;
+int BsdVm::Fault(kern::AddressSpace& as, sim::Vaddr va, sim::Access access) {
+  return FaultIn(static_cast<BsdAddressSpace&>(as), va, access, /*map_locked=*/false);
 }
 
-int BsdVm::FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  // The wire path faults pages in while it already holds the map lock; the
-  // map lock is not recursive (SimLock panics on re-entry), so this variant
-  // runs the identical fault sequence minus the lock round-trip.
-  SIM_ASSERT(as.map_.IsLocked());
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "bsd_fault");
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-  return FaultBody(as, va, access);
+int BsdVm::FaultIn(BsdAddressSpace& as, sim::Vaddr va, sim::Access access, bool map_locked) {
+  return kern::HandleFault(
+      machine_, "bsd_fault", as.map_, map_locked, va, access,
+      [&](MapEntry& e, sim::Vaddr fva, bool write) { return FaultBody(as, e, fva, write); });
 }
 
-// The locked section of the fault: the caller holds (and releases) the map
-// lock. Early error returns release nothing here, so virtual hold time is
-// identical to the old inline-unlock structure (no charges happen between a
-// return and the caller's Unlock).
-int BsdVm::FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  VmMap& map = as.map_;
-  auto it = map.LookupEntry(va);
-  if (it == map.entries().end()) {
-    return sim::kErrFault;
-  }
-  MapEntry& e = *it;
-  bool write = access == sim::Access::kWrite;
-  sim::Prot need = write ? sim::Prot::kWrite : sim::Prot::kRead;
-  if (!sim::ProtIncludes(e.prot, need)) {
-    return sim::kErrProt;
-  }
+// The locked section of the fault, past the lookup and protection check;
+// the caller holds (and releases) the map lock.
+int BsdVm::FaultBody(BsdAddressSpace& as, MapEntry& e, sim::Vaddr va, bool write) {
   if (e.object == nullptr) {
     return sim::kErrFault;  // kernel reservation, not faultable
   }
@@ -978,9 +912,6 @@ int BsdVm::FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
         // The backing copy is still intact; drop the empty frame and
         // surface the error to the faulting process.
         FreeObjectPage(page);
-        if (err == sim::kErrIO) {
-          ++machine_.stats().pagein_errors;
-        }
         return err;
       }
       found_in = obj;
@@ -1054,23 +985,7 @@ int BsdVm::FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
     TryCollapse(first);
   }
 
-  bool wire = e.wired_count > 0;
-  if (wire) {
-    // A fault in a wired entry may replace the mapped page (e.g. a COW
-    // copy); the physical wire must follow the new page.
-    bool same = old_pte.has_value() && old_pte->wired && old_pte->pfn == page->pfn;
-    if (old_pte.has_value() && old_pte->wired && old_pte->pfn != page->pfn) {
-      pm_.Unwire(pm_.PageAt(old_pte->pfn));
-    }
-    if (!same) {
-      pm_.Wire(page);
-    }
-  }
-  as.pmap_.Enter(va, page, enter_prot, wire);
-  page->referenced = true;
-  if (page->wire_count == 0) {
-    pm_.Activate(page);
-  }
+  kern::EnterFaultedPage(as.pmap_, pm_, va, page, enter_prot, e.wired_count > 0, old_pte);
   return sim::kOk;
 }
 
@@ -1115,7 +1030,7 @@ std::size_t BsdVm::ReclaimPage(phys::Page* p) {
     // Transient device errors get a bounded retry with doubling
     // virtual-time backoff; the page stays dirty throughout, so giving
     // up loses nothing.
-    int perr = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+    int perr = sim::RetryPageoutIo(machine_, kern::kMaxPageoutRetries,
                                    [&] { return obj->pager->PutPage(pm_, p, p->offset); });
     if (perr != sim::kOk) {
       pm_.Activate(p);  // swap full or I/O error; keep the page
@@ -1136,11 +1051,6 @@ std::size_t BsdVm::ReclaimPage(phys::Page* p) {
 
 // ---------------------------------------------------------------------------
 // Introspection
-
-std::size_t BsdVm::ResidentPages(kern::AddressSpace& as_) const {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  return as.pmap_.resident_count();
-}
 
 std::size_t BsdVm::AnonResidentPages(kern::AddressSpace& as_) const {
   auto& as = static_cast<BsdAddressSpace&>(as_);

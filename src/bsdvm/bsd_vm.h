@@ -50,7 +50,6 @@ struct BsdConfig {
   std::size_t object_cache_limit = 100;  // §4: the one-hundred-file limit
   std::size_t kernel_map_entries = 4096;  // fixed kernel entry pool
   bool enable_collapse = true;            // ablation switch
-  kern::VmTuning tuning;                  // shared pageout-retry policy
 };
 
 class BsdVm : public kern::VmSystem {
@@ -97,10 +96,7 @@ class BsdVm : public kern::VmSystem {
 
   std::size_t PageDaemon(std::size_t target_free) override;
 
-  std::size_t KernelMapEntries() const override { return kernel_as_->EntryCount(); }
-  std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
-  const kern::VmTuning& tuning() const override { return config_.tuning; }
 
   // --- BSD-specific introspection used by tests and benches ---
   std::size_t object_cache_size() const { return object_cache_.size(); }
@@ -154,16 +150,13 @@ class BsdVm : public kern::VmSystem {
   // invariants, page back-pointers, swap-slot ownership.
   void AuditState(sim::Auditor& auditor) const;
 
-  // Fault() minus the map lock round-trip, for callers (the wire path) that
-  // already hold the map lock; FaultBody is the shared locked section.
-  int FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
-  int FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
+  // Fault() through kern::HandleFault; map_locked is the wire path's fault.
+  int FaultIn(BsdAddressSpace& as, sim::Vaddr va, sim::Access access, bool map_locked);
+  // The fault's own step: the shadow-chain walk for `va` in entry `e`.
+  int FaultBody(BsdAddressSpace& as, MapEntry& e, sim::Vaddr va, bool write);
 
   // The reference a clip adds: the new half shares the object.
   void RefClip(MapEntry& e);
-
-  int UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr end,
-                       std::vector<VmObject*>* drop);
 
   sim::Machine& machine_;
   phys::PhysMem& pm_;

@@ -128,16 +128,6 @@ void SwapPager::Invalidate(std::uint64_t pgindex) {
   blk->valid[i] = false;
 }
 
-std::size_t SwapPager::ValidSlotCount() const {
-  std::size_t n = 0;
-  for (const auto& [bi, blk] : blocks_) {
-    for (bool v : blk.valid) {
-      n += v ? 1 : 0;
-    }
-  }
-  return n;
-}
-
 void SwapPager::ForEachSlot(const std::function<void(std::int32_t, bool)>& fn) const {
   for (const auto& [bi, blk] : blocks_) {
     for (std::uint64_t i = 0; i < kBlockPages; ++i) {

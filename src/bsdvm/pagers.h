@@ -81,9 +81,6 @@ class SwapPager : public Pager {
   // Drop any backing-store copy of this page (MADV_FREE support).
   void Invalidate(std::uint64_t pgindex);
 
-  // Number of swap slots holding data for this object.
-  std::size_t ValidSlotCount() const;
-
   // Visit every device slot this pager has reserved, in ascending
   // page-index order. Whole blocks are reserved up front, so a slot may be
   // allocated (`valid == false`) without holding data yet — the audit's

@@ -11,14 +11,10 @@
 
 namespace uvm {
 
-namespace {
-constexpr sim::Vaddr kUserMin = 0x0000'1000;
-constexpr sim::Vaddr kUserMax = 0xB000'0000;
-constexpr sim::Vaddr kKernMin = 0xC000'0000;
-constexpr sim::Vaddr kKernMax = 0x1'0000'0000;
-constexpr std::size_t kUPages = 2;
-constexpr std::size_t kKStackPages = 2;
-}  // namespace
+using kern::kKernMax;
+using kern::kKernMin;
+using kern::kUserMax;
+using kern::kUserMin;
 
 UvmAddressSpace::UvmAddressSpace(Uvm& vm, bool is_kernel)
     : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
@@ -237,7 +233,7 @@ void Uvm::ReleaseObjectPage(phys::Page* p) {
 
 phys::Page* Uvm::AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
                                     bool zero) {
-  return phys::AllocOrReclaim(pm_, config_.tuning.max_alloc_retries, kind, owner, offset, zero,
+  return phys::AllocOrReclaim(pm_, kern::kMaxAllocRetries, kind, owner, offset, zero,
                               [this] { PageDaemon(pm_.free_target()); });
 }
 
@@ -254,12 +250,7 @@ int Uvm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::
   }
   UvmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.ChooseSpace(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -318,12 +309,7 @@ int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& d
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
   UvmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.ChooseSpace(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -375,51 +361,34 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // Phase 1 (map locked): detach the entries from the map and the pmap.
   std::vector<UvmMapEntry> removed;
   map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.entries().begin();
-  while (it != map.entries().end()) {
-    if (it->end <= addr) {
-      ++it;
-      continue;
+  // amap_unadd: when an entry holds the only reference to its amap, the
+  // anons of the removed subrange are freed immediately rather than
+  // lingering until every clipped sibling dies. (BSD VM cannot do this —
+  // pages of a partially unmapped object stay until the object dies.)
+  auto amap_unadd = [&](UvmMapEntry& e) {
+    bool partial = e.start < addr || e.end > end;
+    if (!partial || e.amap == nullptr || e.amap->ref_count != 1 || e.amap->shared) {
+      return;
     }
-    if (it->start >= end) {
-      break;
-    }
-    // amap_unadd: when this entry holds the only reference to its amap, the
-    // anons of the removed subrange are freed immediately rather than
-    // lingering until every clipped sibling dies. (BSD VM cannot do this —
-    // pages of a partially unmapped object stay until the object dies.)
-    bool partial = it->start < addr || it->end > end;
-    if (partial && it->amap != nullptr && it->amap->ref_count == 1 && !it->amap->shared) {
-      sim::Vaddr lo = std::max(it->start, addr);
-      sim::Vaddr hi = std::min(it->end, end);
-      for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
-        std::uint64_t slot = it->SlotOf(va);
-        Anon* a = it->amap->Get(slot);
-        if (a != nullptr) {
-          it->amap->Set(slot, nullptr);
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-          }
-          as.pmap_.Remove(va);
-          DerefAnon(a);
+    sim::Vaddr lo = std::max(e.start, addr);
+    sim::Vaddr hi = std::min(e.end, end);
+    for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
+      std::uint64_t slot = e.SlotOf(va);
+      Anon* a = e.amap->Get(slot);
+      if (a != nullptr) {
+        e.amap->Set(slot, nullptr);
+        auto pte = as.pmap_.Extract(va);
+        if (pte.has_value() && pte->wired) {
+          pm_.Unwire(pm_.PageAt(pte->pfn));
         }
+        as.pmap_.Remove(va);
+        DerefAnon(a);
       }
     }
-    it = map.ClipTo(it, addr, end, [this](UvmMapEntry& e) { RefClip(e); });
-    if (it->wired_count > 0) {
-      kern::UnwirePages(as.pmap_, pm_, it->start, it->end);
-    }
-    as.pmap_.RemoveRange(it->start, it->end);
-    removed.push_back(*it);
-    auto victim = it++;
-    map.EraseEntry(victim);
-  }
+  };
+  int err = kern::UnmapRange(
+      map, as.pmap_, pm_, addr, end, [this](UvmMapEntry& e) { RefClip(e); }, amap_unadd,
+      [&](UvmMapEntry& e) { removed.push_back(e); });
   map.Unlock();
 
   // Phase 2 (map unlocked): drop the object and amap references; this is
@@ -427,7 +396,7 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   for (UvmMapEntry& e : removed) {
     DropEntryRefs(e);
   }
-  return sim::kOk;
+  return err;
 }
 
 int Uvm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
@@ -570,7 +539,7 @@ int Uvm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
   return kern::WireRange(
       as.map_, as.pmap_, pm_, addr, len, [this](UvmMapEntry& e) { RefClip(e); },
-      [&](sim::Vaddr va, sim::Access acc) { return FaultWithMapLocked(as, va, acc); });
+      [&](sim::Vaddr va, sim::Access acc) { return FaultIn(as, va, acc, /*map_locked=*/true); });
 }
 
 int Uvm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -620,7 +589,7 @@ void Uvm::UnwireTransient(kern::AddressSpace& /*as*/, kern::TransientWiring& tw)
 int Uvm::AllocProcResources(kern::ProcKernelResources* out) {
   // UVM: the u-area and kernel stack are wired frames whose wired state is
   // recorded in the proc structure — zero kernel map entries (§3.2).
-  for (std::size_t i = 0; i < kUPages + kKStackPages; ++i) {
+  for (std::size_t i = 0; i < kern::kUPages + kern::kKStackPages; ++i) {
     phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
     if (p == nullptr) {
       return sim::kErrNoMem;
@@ -763,7 +732,7 @@ int Uvm::AnonPageInCluster(UvmMapEntry& e, sim::Vaddr va, Anon* anon) {
   // contiguous with ours — likely, since the pagedaemon wrote them out as
   // one cluster (§6).
   std::vector<Anon*> run{anon};
-  for (std::uint64_t i = 1; run.size() < config_.vnode_read_cluster; ++i) {
+  for (std::uint64_t i = 1; run.size() < kVnodeReadCluster; ++i) {
     sim::Vaddr nva = va + i * sim::kPageSize;
     if (nva >= e.end) {
       break;
@@ -1034,7 +1003,7 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
       page = nullptr;  // discarded clean page: refetch from the pager below
     }
     if (page == nullptr) {
-      std::size_t max_cluster = e.advice == sim::Advice::kRandom ? 1 : config_.vnode_read_cluster;
+      std::size_t max_cluster = e.advice == sim::Advice::kRandom ? 1 : kVnodeReadCluster;
       int err = e.uobj->pgops->Get(*this, *e.uobj, pgi, max_cluster, &page);
       if (err != sim::kOk) {
         return err;
@@ -1122,23 +1091,7 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
     page = na->page;
   }
 
-  bool wire = e.wired_count > 0;
-  if (wire) {
-    // A fault in a wired entry may replace the mapped page (e.g. a COW
-    // copy); the physical wire must follow the new page.
-    bool same = old_pte.has_value() && old_pte->wired && old_pte->pfn == page->pfn;
-    if (old_pte.has_value() && old_pte->wired && old_pte->pfn != page->pfn) {
-      pm_.Unwire(pm_.PageAt(old_pte->pfn));
-    }
-    if (!same) {
-      pm_.Wire(page);
-    }
-  }
-  as.pmap_.Enter(va, page, enter_prot, wire);
-  page->referenced = true;
-  if (page->wire_count == 0) {
-    pm_.Activate(page);
-  }
+  kern::EnterFaultedPage(as.pmap_, pm_, va, page, enter_prot, e.wired_count > 0, old_pte);
   return sim::kOk;
 }
 
@@ -1146,8 +1099,8 @@ void Uvm::MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va)
   if (!config_.enable_lookahead) {
     return;
   }
-  int fwd = config_.lookahead_fwd;
-  int back = config_.lookahead_back;
+  int fwd = kLookaheadFwd;
+  int back = kLookaheadBack;
   switch (e.advice) {
     case sim::Advice::kNormal:
       break;
@@ -1202,63 +1155,32 @@ void Uvm::MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va)
   }
 }
 
-int Uvm::Fault(kern::AddressSpace& as_, sim::Vaddr va, sim::Access access) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "uvm_fault");
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-
-  UvmMap& map = as.map_;
-  map.Lock();
-  int err = FaultBody(as, va, access);
-  map.Unlock();
-  return err;
+int Uvm::Fault(kern::AddressSpace& as, sim::Vaddr va, sim::Access access) {
+  return FaultIn(static_cast<UvmAddressSpace&>(as), va, access, /*map_locked=*/false);
 }
 
-int Uvm::FaultWithMapLocked(UvmAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  // The wire path faults pages in while it already holds the map lock; the
-  // map lock is not recursive (SimLock panics on re-entry), so this variant
-  // runs the identical fault sequence minus the lock round-trip.
-  SIM_ASSERT(as.map_.IsLocked());
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "uvm_fault");
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-  return FaultBody(as, va, access);
-}
-
-int Uvm::FaultBody(UvmAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  UvmMap& map = as.map_;
-  auto it = map.LookupEntry(va);
-  if (it == map.entries().end()) {
-    return sim::kErrFault;
-  }
-  bool write = access == sim::Access::kWrite;
-  sim::Prot need = write ? sim::Prot::kWrite : sim::Prot::kRead;
-  if (!sim::ProtIncludes(it->prot, need)) {
-    return sim::kErrProt;
-  }
-  int err = FaultLocked(as, *it, va, write);
-  if (err == sim::kOk) {
-    MapNeighbors(as, *it, va);
-  } else if (err == sim::kErrIO) {
-    ++machine_.stats().pagein_errors;  // surfaced to the faulting process
-  }
-  return err;
+int Uvm::FaultIn(UvmAddressSpace& as, sim::Vaddr va, sim::Access access, bool map_locked) {
+  return kern::HandleFault(machine_, "uvm_fault", as.map_, map_locked, va, access,
+                           [&](UvmMapEntry& e, sim::Vaddr fva, bool write) {
+                             int err = FaultLocked(as, e, fva, write);
+                             if (err == sim::kOk) {
+                               MapNeighbors(as, e, fva);
+                             }
+                             return err;
+                           });
 }
 
 // ---------------------------------------------------------------------------
 // Pagedaemon (§6): aggressive clustering of anonymous pageout.
 
 std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
-  // Gather up to pageout_cluster dirty anonymous pages from the inactive
+  // Gather up to kPageoutCluster dirty anonymous pages from the inactive
   // queue, starting with `first`.
   std::vector<phys::Page*> cluster;
   cluster.push_back(first);
   if (config_.cluster_anon_pageout) {
     phys::Page* p = first->q_next;
-    while (p != nullptr && cluster.size() < config_.pageout_cluster) {
+    while (p != nullptr && cluster.size() < kPageoutCluster) {
       phys::Page* next = p->q_next;
       if (p->owner_kind == phys::OwnerKind::kUvmAnon && p->dirty && !p->referenced &&
           p->wire_count == 0 && p->loan_count == 0 && !p->poisoned) {
@@ -1294,7 +1216,7 @@ std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
   // authoritative copy, so a failed pageout can never lose data. Transient
   // errors are retried with doubling virtual-time backoff; permanent slot
   // errors are remapped to a fresh run by the swap layer.
-  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+  int err = sim::RetryPageoutIo(machine_, kern::kMaxPageoutRetries,
                                 [&] { return swap_.WriteRunRemapping(&base, datas); });
   if (err != sim::kOk) {
     if (base != swp::kNoSlot) {
@@ -1326,7 +1248,7 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
   run.push_back(first);
   if (config_.cluster_vnode_io) {
     std::uint64_t idx = first->offset;
-    while (run.size() < config_.vnode_read_cluster) {
+    while (run.size() < kVnodeReadCluster) {
       phys::Page* p = obj->LookupPage(idx + 1);
       if (p == nullptr || !p->dirty || p->wire_count > 0 || p->loan_count > 0 || p->poisoned) {
         break;
@@ -1338,7 +1260,7 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
   for (phys::Page* p : run) {
     mmu_.PageProtect(p, sim::Prot::kNone);
   }
-  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+  int err = sim::RetryPageoutIo(machine_, kern::kMaxPageoutRetries,
                                 [&] { return obj->pgops->Put(*this, *obj, run); });
   if (err != sim::kOk) {
     for (phys::Page* p : run) {
@@ -1650,11 +1572,6 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
 
 // ---------------------------------------------------------------------------
 // Introspection
-
-std::size_t Uvm::ResidentPages(kern::AddressSpace& as_) const {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  return as.pmap_.resident_count();
-}
 
 std::size_t Uvm::AnonResidentPages(kern::AddressSpace& as_) const {
   auto& as = static_cast<UvmAddressSpace&>(as_);

@@ -50,15 +50,16 @@ class UvmAddressSpace : public kern::AddressSpace {
   mmu::Pmap pmap_;
 };
 
+// Fault lookahead for Advice::kNormal: "look four pages ahead of the
+// faulting address and three pages behind" (§5.4).
+inline constexpr int kLookaheadFwd = 4;
+inline constexpr int kLookaheadBack = 3;
+inline constexpr std::size_t kPageoutCluster = 16;   // anon pageout cluster size (pages)
+inline constexpr std::size_t kVnodeReadCluster = 8;  // clustered pagein size (pages)
+
 struct UvmConfig {
   std::size_t kernel_map_entries = 4096;
   AmapImplPolicy amap_policy = AmapImplPolicy::kArray;
-  // Fault lookahead for Advice::kNormal: "look four pages ahead of the
-  // faulting address and three pages behind" (§5.4).
-  int lookahead_fwd = 4;
-  int lookahead_back = 3;
-  std::size_t pageout_cluster = 16;      // anon pageout cluster size (pages)
-  std::size_t vnode_read_cluster = 8;    // clustered pagein size (pages)
   bool enable_lookahead = true;          // ablation switch
   bool cluster_anon_pageout = true;      // ablation switch
   bool cluster_vnode_io = true;          // ablation switch
@@ -72,7 +73,6 @@ struct UvmConfig {
   // (NetBSD later added this to uvm_map). Off by default to keep Table 1
   // workload calibration byte-exact.
   bool merge_map_entries = false;
-  kern::VmTuning tuning;  // shared pageout-retry policy
 };
 
 class Uvm : public kern::VmSystem {
@@ -127,10 +127,7 @@ class Uvm : public kern::VmSystem {
   int Extract(kern::AddressSpace& src, sim::Vaddr src_va, std::uint64_t len,
               kern::AddressSpace& dst, sim::Vaddr* dst_va, kern::ExtractMode mode) override;
 
-  std::size_t KernelMapEntries() const override { return kernel_as_->EntryCount(); }
-  std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
-  const kern::VmTuning& tuning() const override { return config_.tuning; }
 
   // --- UVM-specific introspection ---
   // One anon == one logical page of anonymous memory (resident or on swap).
@@ -188,10 +185,8 @@ class Uvm : public kern::VmSystem {
   void DetachObject(UvmObject* obj);
 
   // --- fault internals ---
-  // Fault() minus the map lock round-trip, for callers (the wire path) that
-  // already hold the map lock; FaultBody is the shared locked section.
-  int FaultWithMapLocked(UvmAddressSpace& as, sim::Vaddr va, sim::Access access);
-  int FaultBody(UvmAddressSpace& as, sim::Vaddr va, sim::Access access);
+  // Fault() through kern::HandleFault; map_locked is the wire path's fault.
+  int FaultIn(UvmAddressSpace& as, sim::Vaddr va, sim::Access access, bool map_locked);
   int FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool write);
   void MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va);
   // Resolve the page for an anon, swapping it in if necessary.

@@ -63,9 +63,7 @@ class VnodeOps : public PagerOps {
     // UVM pagers allocate pages themselves and may read a multi-page
     // cluster in one I/O operation (§6).
     std::uint64_t cluster =
-        vm.config().cluster_vnode_io ? std::min<std::uint64_t>(vm.config().vnode_read_cluster,
-                                                               max_cluster)
-                                     : 1;
+        vm.config().cluster_vnode_io ? std::min<std::uint64_t>(kVnodeReadCluster, max_cluster) : 1;
     std::uint64_t n = 0;
     while (n < cluster && pgindex + n < file_pages && !obj.pages.contains(pgindex + n)) {
       ++n;
@@ -209,15 +207,15 @@ void UvmVnode::Terminate(vfs::Vnode& vnode) {
   vm.ForgetVnode(&vnode);
   // Flush dirty pages in clustered contiguous runs, then drop everything.
   // Terminate cannot report failure to anyone, so flushes retry with the
-  // shared VmTuning budget and backoff, then give up counting the dropped
-  // pages (the transient-fault case recovers; a permanently dead filesystem
-  // disk drops the writes, like a real kernel).
+  // shared kern::kMaxPageoutRetries budget and backoff, then give up
+  // counting the dropped pages (the transient-fault case recovers; a
+  // permanently dead filesystem disk drops the writes, like a real kernel).
   sim::ChargeScope scope(vm.machine(), sim::CostCat::kPageout, "uvm_terminate_flush");
   auto flush = [this](const std::vector<phys::Page*>& r) {
     if (r.empty()) {
       return;
     }
-    int err = sim::RetryPageoutIo(vm.machine(), vm.config().tuning.max_pageout_retries,
+    int err = sim::RetryPageoutIo(vm.machine(), kern::kMaxPageoutRetries,
                                   [&] { return FlushRun(vm, *this, r); });
     if (err == sim::kErrIO) {
       vm.machine().stats().pageout_drops += r.size();

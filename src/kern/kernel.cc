@@ -313,7 +313,7 @@ int Kernel::Access(Proc* p, sim::Vaddr va, std::uint64_t len, bool write, std::b
 int Kernel::RecoverFromPressure(Proc* p, sim::Vaddr va, bool write, int err) {
   // Bounded daemon-and-retry with doubling virtual-time backoff: the
   // pressure may be transient (a plan step, a burst of allocations).
-  const sim::RetryPolicy policy{vm_.tuning().max_fault_retries,
+  const sim::RetryPolicy policy{kMaxFaultRetries,
                                 machine_.cost().mem_retry_backoff_ns,
                                 &machine_.stats().fault_retries};
   auto attempt_fault = [&] {

@@ -1,6 +1,7 @@
 #include "src/kern/trace_replay.h"
 
 #include <charconv>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -42,6 +43,25 @@ bool ParseU64(const std::string& s, std::uint64_t* out) {
   }
   auto [ptr, ec] = std::from_chars(begin, end, *out, base);
   return ec == std::errc() && ptr == end;
+}
+
+// Every page-count and page-offset field: parse `s` as pages and return
+// its size in bytes. Rejects a value that is not a number, or whose bytes,
+// or the address they reach from `base`, do not fit in 64 bits (a wrapped
+// multiply would turn a typo into a different run); *msg names `field`.
+bool ParsePages(const std::string& s, const std::string& field, sim::Vaddr base,
+                std::uint64_t* bytes, std::string* msg) {
+  std::uint64_t pages = 0;
+  if (!ParseU64(s, &pages)) {
+    *msg = field + " is not a page count: " + s;
+    return false;
+  }
+  if (pages > (std::numeric_limits<std::uint64_t>::max() - base) >> sim::kPageShift) {
+    *msg = field + " " + s + " overflows 64 bits in bytes";
+    return false;
+  }
+  *bytes = pages << sim::kPageShift;
+  return true;
 }
 
 bool ParseByte(const std::string& s, std::byte* out) {
@@ -103,11 +123,14 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
     return sim::kOk;
   }
   if (op == "file") {
-    std::uint64_t pages = 0;
-    if (t.size() != 3 || !ParseU64(t[2], &pages)) {
+    std::uint64_t bytes = 0;
+    if (t.size() != 3) {
       return fail("file needs: file /name PAGES");
     }
-    st.k.fs().CreateFilePattern(t[1], pages * sim::kPageSize);
+    if (!ParsePages(t[2], "file PAGES", 0, &bytes, msg)) {
+      return sim::kErrInval;
+    }
+    st.k.fs().CreateFilePattern(t[1], bytes);
     return sim::kOk;
   }
   if (op == "daemon") {
@@ -130,13 +153,16 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
   const std::string reg = t[2].substr(1);
 
   if (op == "mmap") {
-    std::uint64_t pages = 0;
-    if (t.size() < 4 || !ParseU64(t[3], &pages)) {
+    std::uint64_t len = 0;
+    if (t.size() < 4) {
       return fail("mmap needs: mmap PROC $reg PAGES [ro|rw] [shared|private] [/file [off]]");
+    }
+    if (!ParsePages(t[3], "mmap PAGES", 0, &len, msg)) {
+      return sim::kErrInval;
     }
     MapAttrs attrs;
     std::string file;
-    std::uint64_t offpages = 0;
+    std::uint64_t off = 0;
     for (std::size_t i = 4; i < t.size(); ++i) {
       if (t[i] == "ro") {
         attrs.prot = sim::Prot::kRead;
@@ -148,18 +174,20 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
         attrs.shared = false;
       } else if (t[i][0] == '/') {
         file = t[i];
+        // An optional page offset may follow the file.
+        std::uint64_t offpages = 0;
         if (i + 1 < t.size() && ParseU64(t[i + 1], &offpages)) {
-          ++i;
+          if (!ParsePages(t[++i], "mmap OFF", 0, &off, msg)) {
+            return sim::kErrInval;
+          }
         }
       } else {
         return fail("mmap: bad token " + t[i]);
       }
     }
     sim::Vaddr addr = 0;
-    int err = file.empty()
-                  ? st.k.MmapAnon(p, &addr, pages * sim::kPageSize, attrs)
-                  : st.k.Mmap(p, &addr, pages * sim::kPageSize, file,
-                              offpages * sim::kPageSize, attrs);
+    int err = file.empty() ? st.k.MmapAnon(p, &addr, len, attrs)
+                           : st.k.Mmap(p, &addr, len, file, off, attrs);
     if (err != sim::kOk) {
       *msg = "mmap failed: " + std::string(sim::ErrorName(err));
       return err;
@@ -175,19 +203,22 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
   sim::Vaddr base = it->second;
 
   if (op == "munmap" || op == "mlock" || op == "munlock" || op == "msync") {
-    std::uint64_t pages = 0;
-    if (t.size() != 4 || !ParseU64(t[3], &pages)) {
+    std::uint64_t len = 0;
+    if (t.size() != 4) {
       return fail(op + " needs: " + op + " PROC $reg PAGES");
+    }
+    if (!ParsePages(t[3], op + " PAGES", base, &len, msg)) {
+      return sim::kErrInval;
     }
     int err = sim::kOk;
     if (op == "munmap") {
-      err = st.k.Munmap(p, base, pages * sim::kPageSize);
+      err = st.k.Munmap(p, base, len);
     } else if (op == "mlock") {
-      err = st.k.Mlock(p, base, pages * sim::kPageSize);
+      err = st.k.Mlock(p, base, len);
     } else if (op == "munlock") {
-      err = st.k.Munlock(p, base, pages * sim::kPageSize);
+      err = st.k.Munlock(p, base, len);
     } else {
-      err = st.k.Msync(p, base, pages * sim::kPageSize);
+      err = st.k.Msync(p, base, len);
     }
     if (err != sim::kOk) {
       *msg = op + " failed: " + std::string(sim::ErrorName(err));
@@ -204,10 +235,13 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
   if (op == "write") {
     std::uint64_t off = 0;
     std::byte value{};
-    if (t.size() != 5 || !ParseU64(t[3], &off) || !ParseByte(t[4], &value)) {
+    if (t.size() != 5 || !ParseByte(t[4], &value)) {
       return fail("write needs: write PROC $reg OFFPAGES BYTE");
     }
-    int err = st.k.TouchWrite(p, base + off * sim::kPageSize, 1, value);
+    if (!ParsePages(t[3], "write OFFPAGES", base, &off, msg)) {
+      return sim::kErrInval;
+    }
+    int err = st.k.TouchWrite(p, base + off, 1, value);
     if (err != sim::kOk) {
       *msg = "write failed: " + std::string(sim::ErrorName(err));
     }
@@ -215,8 +249,11 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
   }
   if (op == "read" || op == "readf") {
     std::uint64_t off = 0;
-    if (t.size() < 4 || !ParseU64(t[3], &off)) {
+    if (t.size() < 4) {
       return fail(op + " needs an offset");
+    }
+    if (!ParsePages(t[3], op + " OFFPAGES", base, &off, msg)) {
+      return sim::kErrInval;
     }
     std::byte want{};
     if (op == "read") {
@@ -224,22 +261,26 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
         return fail("read needs: read PROC $reg OFFPAGES BYTE");
       }
     } else {
-      std::uint64_t fpage = 0;
-      if (t.size() != 6 || !ParseU64(t[5], &fpage)) {
+      std::uint64_t fbytes = 0;
+      if (t.size() != 6) {
         return fail("readf needs: readf PROC $reg OFFPAGES /file FILEPAGE");
       }
-      want = vfs::Filesystem::PatternByte(t[4], fpage * sim::kPageSize);
+      if (!ParsePages(t[5], "readf FILEPAGE", 0, &fbytes, msg)) {
+        return sim::kErrInval;
+      }
+      want = vfs::Filesystem::PatternByte(t[4], fbytes);
     }
     std::vector<std::byte> got(1);
-    int err = st.k.ReadMem(p, base + off * sim::kPageSize, got);
+    int err = st.k.ReadMem(p, base + off, got);
     if (err != sim::kOk) {
       *msg = "read failed: " + std::string(sim::ErrorName(err));
       return err;
     }
     if (got[0] != want) {
       std::ostringstream os;
-      os << "read mismatch at $" << reg << "+" << off << ": got 0x" << std::hex
-         << static_cast<unsigned>(got[0]) << " want 0x" << static_cast<unsigned>(want);
+      os << "read mismatch at $" << reg << "+" << (off >> sim::kPageShift) << ": got 0x"
+         << std::hex << static_cast<unsigned>(got[0]) << " want 0x"
+         << static_cast<unsigned>(want);
       *msg = os.str();
       return sim::kErrInval;
     }

@@ -340,12 +340,6 @@ void PhysMem::PoisonRandom(std::uint64_t count, sim::Rng& rng) {
   }
 }
 
-void PhysMem::RetirePage(Page* p) {
-  sim::LockGuard g(queue_lock_);
-  ++p->gen;  // retirement from a containment path is the frame's free
-  RetirePageLocked(p);
-}
-
 void PhysMem::RetirePageLocked(Page* p) {
   SIM_ASSERT_MSG(p->poisoned, "retiring an unpoisoned page");
   SIM_ASSERT(p->wire_count == 0 && p->loan_count == 0);

@@ -63,7 +63,6 @@ class PhysMem {
 
   // Number of free pages below which callers should run the pagedaemon.
   std::size_t free_target() const { return free_target_; }
-  void set_free_target(std::size_t n) { free_target_ = n; }
   bool NeedsPageDaemon() const { return free_.size() < free_target_; }
 
   // Watermarks below the daemon target (both default 0 = disabled,
@@ -152,10 +151,6 @@ class PhysMem {
   // probing from a random start, so a given seed poisons the same frames
   // on every run. Stops early when no eligible frame remains.
   void PoisonRandom(std::uint64_t count, sim::Rng& rng);
-  // A poisoned frame that turned out to be unowned (discarded by
-  // containment or freed at teardown) is retired here instead of returning
-  // to the free list.
-  void RetirePage(Page* p);
 
   // Layers above register how to react the moment a *live* frame is
   // poisoned (the machine-check handler analogue): the MMU unmaps
@@ -169,9 +164,9 @@ class PhysMem {
  private:
   friend class PageoutScope;
 
-  // Bodies of the queue-mutating entry points, for internal nesting
-  // (Activate/Wire dequeue first, Unwire re-activates, FreePage retires a
-  // poisoned frame) without re-entering the non-recursive queue lock.
+  // Queue steps under the queue lock, for internal nesting (Activate/Wire
+  // dequeue first, Unwire re-activates, FreePage retires a poisoned frame)
+  // without re-entering the non-recursive queue lock.
   void ActivateLocked(Page* p);
   void DequeueLocked(Page* p);
   void RetirePageLocked(Page* p);

@@ -185,6 +185,15 @@ class AddrMap {
     return kOk;
   }
 
+  // Where a new mapping of `len` bytes goes: exactly *addr when `fixed`
+  // (kErrExist if that range is taken), else the first fit at or above it.
+  int ChooseSpace(Vaddr* addr, std::uint64_t len, bool fixed) const {
+    if (fixed) {
+      return RangeFree(*addr, len) ? kOk : kErrExist;
+    }
+    return FindSpace(addr, len);
+  }
+
   // Host-side peek (no charge, no stats): would a range op over
   // [start, end) have to clip an entry at either boundary? Used to decide
   // whether a clip reservation is needed before mutating anything.

@@ -112,7 +112,6 @@ class FaultInjector {
     st = State{};
     st.plan = plan;
   }
-  void ClearPlan(IoDevice dev) { state_[Index(dev)] = State{}; }
   void Reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   // Called by vfs::Disk for every operation. `blkno` is the device block
@@ -128,9 +127,6 @@ class FaultInjector {
     return state_[Index(dev)].bad_blocks.count(blk) != 0;
   }
 
-  std::uint64_t read_ops(IoDevice dev) const { return state_[Index(dev)].read_ops; }
-  std::uint64_t write_ops(IoDevice dev) const { return state_[Index(dev)].write_ops; }
-
   // --- Memory-fault (hwpoison) plan ---
 
   // The actuator poisons frames; for random events it draws targets from
@@ -143,7 +139,6 @@ class FaultInjector {
   void SetMemPlan(const MemFaultPlan& plan) { mem_events_.Install(plan.events); }
   void RegisterMemActuator(MemActuator fn) { mem_actuator_ = std::move(fn); }
 
-  bool has_mem_plan() const { return !mem_events_.empty(); }
   std::size_t pending_mem_events() const { return mem_events_.pending(); }
 
   // Apply every memory-fault event due at or before `now`. Charges nothing;

@@ -24,7 +24,6 @@ namespace sim {
 class Machine {
  public:
   Machine() = default;
-  explicit Machine(const CostModel& cost) : cost_(cost) {}
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;

@@ -117,7 +117,6 @@ class Arena {
     return p;
   }
 
-  std::size_t chunk_count() const { return nchunks_; }
   std::size_t bytes_reserved() const { return bytes_reserved_; }
 
   static constexpr std::size_t RoundUp(std::size_t bytes) {
@@ -139,7 +138,6 @@ class Arena {
     chunks_ = h;
     cursor_ = raw + header;
     limit_ = cursor_ + payload;
-    ++nchunks_;
     bytes_reserved_ += header + payload;
   }
 
@@ -147,7 +145,6 @@ class Arena {
   ChunkHeader* chunks_ = nullptr;
   std::byte* cursor_ = nullptr;
   std::byte* limit_ = nullptr;
-  std::size_t nchunks_ = 0;
   std::size_t bytes_reserved_ = 0;
 };
 
@@ -202,7 +199,6 @@ class PoolBase {
   }
 
   const char* name() const { return name_; }
-  std::size_t block_bytes() const { return block_bytes_; }
   const PoolStats& stats() const { return st_; }
   std::size_t arena_bytes() const { return arena_.bytes_reserved(); }
 

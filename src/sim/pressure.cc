@@ -4,16 +4,6 @@
 
 namespace sim {
 
-const char* PressureResourceName(PressureResource r) {
-  switch (r) {
-    case PressureResource::kPhysPages:
-      return "phys";
-    case PressureResource::kSwapSlots:
-      return "swap";
-  }
-  return "?";
-}
-
 namespace {
 
 bool ParseOneEvent(const std::string& tok, PressureEvent* ev, std::string* error) {

@@ -39,8 +39,6 @@ enum class PressureResource : std::uint8_t {
 };
 inline constexpr std::size_t kNumPressureResources = 2;
 
-const char* PressureResourceName(PressureResource r);
-
 enum class PressureOp : std::uint8_t {
   kShrink,    // take `amount` units out of service
   kGrow,      // return `amount` units to service

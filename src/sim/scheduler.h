@@ -136,8 +136,6 @@ class Scheduler {
     }
   }
 
-  SchedStrategy strategy() const { return strat_; }
-
   std::size_t ncpus() const { return slots_.size(); }
   bool smp() const { return slots_.size() > 1; }
   std::size_t current() const { return current_; }

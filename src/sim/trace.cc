@@ -59,8 +59,6 @@ const char* PhaseOf(TraceEventKind k) {
       return "E";
     case TraceEventKind::kInstant:
       return "i";
-    case TraceEventKind::kCounter:
-      return "C";
   }
   return "?";
 }
@@ -95,9 +93,6 @@ std::size_t AppendChromeTraceEvents(std::ostream& os, const Tracer& tracer, int 
     switch (e.kind) {
       case TraceEventKind::kInstant:
         os << ", \"s\": \"t\", \"args\": {\"value\": " << e.value << "}";
-        break;
-      case TraceEventKind::kCounter:
-        os << ", \"args\": {\"value\": " << e.value << "}";
         break;
       case TraceEventKind::kSpanBegin:
       case TraceEventKind::kSpanEnd:

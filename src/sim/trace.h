@@ -86,14 +86,14 @@ struct CostBreakdown {
   void Reset() { *this = CostBreakdown{}; }
 };
 
-enum class TraceEventKind : std::uint8_t { kSpanBegin, kSpanEnd, kInstant, kCounter };
+enum class TraceEventKind : std::uint8_t { kSpanBegin, kSpanEnd, kInstant };
 
 struct TraceEvent {
   TraceEventKind kind;
   CostCat cat;
   const char* name;  // must point at a static-lifetime string
   Nanoseconds ts;    // virtual time
-  std::uint64_t value;  // counter value / instant payload (pages, bytes, ...)
+  std::uint64_t value;  // instant payload (pages, bytes, ...)
 };
 
 // Bounded ring buffer of trace events. Recording drops the *oldest* event
@@ -124,9 +124,6 @@ class Tracer {
   }
   void Instant(CostCat cat, const char* name, Nanoseconds ts, std::uint64_t value = 0) {
     Record({TraceEventKind::kInstant, cat, name, ts, value});
-  }
-  void Counter(const char* name, Nanoseconds ts, std::uint64_t value) {
-    Record({TraceEventKind::kCounter, CostCat::kOther, name, ts, value});
   }
 
   std::size_t size() const { return buf_.size(); }

@@ -1,22 +1,83 @@
-// The range operations both VM systems implement identically: mprotect,
-// minherit, madvise, mlock and munlock. Each is one locked walk — lock the
-// map, reserve the worst-case clips, clip every entry to the range, apply —
-// over either VM's sim::AddrMap. The per-VM parts come in as callables:
-// ref(entry) takes the references a clip adds (amap + uobj for UVM, the
-// object for BSD VM) and the wire path's fault-with-map-locked. What the
-// paper compares about wiring (§3.2) is where *transient* wiring is
-// recorded, which stays in each VM's WireTransient.
+// The map and fault steps both VM systems take identically: the fault
+// entry and its final pmap enter, the unmap walk, and the mprotect,
+// minherit, madvise, mlock and munlock range walks. Each runs over either
+// VM's sim::AddrMap; the per-VM parts come in as callables: ref(entry)
+// takes the references a clip adds (amap + uobj for UVM, the object for
+// BSD VM), resolve(entry, va, write) is the VM's own fault resolution, and
+// take(entry) collects what an unmapped entry held. What the paper compares
+// stays with each VM: how a fault finds its page (amaps vs shadow chains,
+// §5), when unmap drops the references it took (§3.1), and where
+// *transient* wiring is recorded (§3.2).
 #ifndef SRC_VM_RANGE_OPS_H_
 #define SRC_VM_RANGE_OPS_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "src/mmu/pmap.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/assert.h"
+#include "src/sim/machine.h"
 #include "src/sim/types.h"
 
 namespace kern {
+
+// The fault entry: open the fault scope, charge the trap and look the page
+// up under the map lock. map_locked is the wire path, which faults pages in
+// while it already holds the map lock (not recursive: SimLock panics on
+// re-entry). An unmapped `va` is kErrFault and a protection the access
+// breaks is kErrProt; otherwise resolve(entry, va, write) maps the page,
+// and a kErrIO it returns is a pagein error surfaced to the process.
+template <typename Map, typename Resolve>
+int HandleFault(sim::Machine& machine, const char* scope_name, Map& map, bool map_locked,
+                sim::Vaddr va, sim::Access access, Resolve&& resolve) {
+  sim::ChargeScope scope(machine, sim::CostCat::kFault, scope_name);
+  machine.Charge(machine.cost().fault_entry_ns);
+  ++machine.stats().faults;
+  va = sim::PageTrunc(va);
+  const bool write = access == sim::Access::kWrite;
+  auto fault_locked = [&] {
+    auto it = map.LookupEntry(va);
+    if (it == map.entries().end()) {
+      return sim::kErrFault;
+    }
+    if (!sim::ProtIncludes(it->prot, write ? sim::Prot::kWrite : sim::Prot::kRead)) {
+      return sim::kErrProt;
+    }
+    int err = resolve(*it, va, write);
+    if (err == sim::kErrIO) {
+      ++machine.stats().pagein_errors;
+    }
+    return err;
+  };
+  if (map_locked) {
+    SIM_ASSERT(map.IsLocked());
+    return fault_locked();
+  }
+  map.Lock();
+  int err = fault_locked();
+  map.Unlock();
+  return err;
+}
+
+// The last step of a fault: enter `page` at `va`. In a wired entry a fault
+// may have replaced the mapped page (a COW copy), so the physical wire
+// follows the page; old_pte is the translation the fault started from.
+inline void EnterFaultedPage(mmu::Pmap& pmap, phys::PhysMem& pm, sim::Vaddr va, phys::Page* page,
+                             sim::Prot prot, bool wire, const std::optional<mmu::Pte>& old_pte) {
+  const bool was_wired = old_pte.has_value() && old_pte->wired;
+  if (wire && !(was_wired && old_pte->pfn == page->pfn)) {
+    if (was_wired) {
+      pm.Unwire(pm.PageAt(old_pte->pfn));
+    }
+    pm.Wire(page);
+  }
+  pmap.Enter(va, page, prot, wire);
+  page->referenced = true;
+  if (page->wire_count == 0) {
+    pm.Activate(page);
+  }
+}
 
 // Walk the entries of [start, end) under the map lock. check(entry) runs on
 // each entry before it is clipped: a non-kOk result ends the walk and
@@ -56,6 +117,36 @@ inline void UnwirePages(mmu::Pmap& pmap, phys::PhysMem& pm, sim::Vaddr start, si
       pmap.ChangeWiring(va, false);
     }
   }
+}
+
+// munmap's locked walk; the caller holds the map lock. Reserves the clips,
+// then walks from the first entry (no charged lookup). Each entry in
+// [start, end) gets before_clip(entry), is clipped to the range, unwired
+// and unmapped, handed to take(entry) and erased. What happens to the
+// references take() collects is the per-VM part.
+template <typename Map, typename Ref, typename BeforeClip, typename Take>
+int UnmapRange(Map& map, mmu::Pmap& pmap, phys::PhysMem& pm, sim::Vaddr start, sim::Vaddr end,
+               Ref&& ref, BeforeClip&& before_clip, Take&& take) {
+  typename Map::ClipReservation clipres;
+  if (int err = clipres.Acquire(map, start, end); err != sim::kOk) {
+    return err;
+  }
+  auto it = map.entries().begin();
+  while (it != map.entries().end() && it->start < end) {
+    if (it->end <= start) {
+      ++it;
+      continue;
+    }
+    before_clip(*it);
+    it = map.ClipTo(it, start, end, ref);
+    if (it->wired_count > 0) {
+      UnwirePages(pmap, pm, it->start, it->end);
+    }
+    pmap.RemoveRange(it->start, it->end);
+    take(*it);
+    map.EraseEntry(it++);
+  }
+  return sim::kOk;
 }
 
 // Set one attribute on every entry of [addr, addr+len); nothing past the

@@ -25,26 +25,33 @@
 
 namespace kern {
 
-// Paging tuning shared by both VM systems. Both configs embed one of these
-// so fault-injection comparisons between the two VMs are apples-to-apples:
-// a retry-count difference would otherwise masquerade as an architectural
-// virtual-time difference.
-struct VmTuning {
-  // Transient-EIO retries per pageout after the initial attempt, with
-  // doubling virtual-time backoff. Applies uniformly to pagedaemon passes
-  // and to terminate-time flushes (which historically hardcoded 3 attempts
-  // per VM); every retry increments Stats::pageout_retries on every path.
-  int max_pageout_retries = 5;
-  // Extra pagedaemon-and-retry passes after a failed physical-page
-  // allocation (beyond the historical single daemon+retry), with doubling
-  // mem_retry_backoff_ns, before the failure surfaces as kErrNoMem. Each
-  // pass increments Stats::alloc_retries.
-  int max_alloc_retries = 3;
-  // Kernel-level retries of a fault that failed with kErrNoMem/kErrNoSwap
-  // before the out-of-swap killer is consulted (DESIGN.md §12). Each retry
-  // increments Stats::fault_retries.
-  int max_fault_retries = 3;
-};
+// Paging retry budgets shared by both VM systems, so fault-injection
+// comparisons between the two VMs are apples-to-apples: a retry-count
+// difference would otherwise masquerade as an architectural virtual-time
+// difference.
+//
+// Transient-EIO retries per pageout after the initial attempt, with doubling
+// virtual-time backoff. Applies uniformly to pagedaemon passes and to
+// terminate-time flushes; every retry increments Stats::pageout_retries.
+inline constexpr int kMaxPageoutRetries = 5;
+// Extra pagedaemon-and-retry passes after a failed physical-page allocation
+// (beyond the single daemon+retry), with doubling mem_retry_backoff_ns,
+// before the failure surfaces as kErrNoMem. Each pass increments
+// Stats::alloc_retries.
+inline constexpr int kMaxAllocRetries = 3;
+// Kernel-level retries of a fault that failed with kErrNoMem/kErrNoSwap
+// before the out-of-swap killer is consulted (DESIGN.md §12). Each retry
+// increments Stats::fault_retries.
+inline constexpr int kMaxFaultRetries = 3;
+
+// The simulated address-space layout both VMs share: user and kernel map
+// ranges, and the per-process u-area and kernel stack sizes (§3.2).
+inline constexpr sim::Vaddr kUserMin = 0x0000'1000;
+inline constexpr sim::Vaddr kUserMax = 0xB000'0000;
+inline constexpr sim::Vaddr kKernMin = 0xC000'0000;
+inline constexpr sim::Vaddr kKernMax = 0x1'0000'0000;
+inline constexpr std::size_t kUPages = 2;       // u-area size
+inline constexpr std::size_t kKStackPages = 2;  // kernel stack size
 
 // Attributes of a new mapping. UVM's uvm_map() accepts all of these in one
 // call (§3.1); BSD VM emulates the same API with its insecure multi-step
@@ -185,15 +192,11 @@ class VmSystem {
                       sim::Vaddr* dst_va, ExtractMode mode);
 
   // --- Introspection (Table 1, the killer, tests) ---
-  virtual std::size_t KernelMapEntries() const = 0;
-  // Frames resident in this address space's mappings (excluding the kernel).
-  virtual std::size_t ResidentPages(AddressSpace& as) const = 0;
+  std::size_t KernelMapEntries() { return kernel_as().EntryCount(); }
   // Resident *anonymous* frames attributable to `as`: the out-of-swap
   // killer's victim metric (DESIGN.md §12). Host-side walk, charges
   // nothing.
   virtual std::size_t AnonResidentPages(AddressSpace& as) const = 0;
-  // The retry/backoff knobs this VM instance was configured with.
-  virtual const VmTuning& tuning() const = 0;
 };
 
 }  // namespace kern

@@ -92,6 +92,57 @@ TEST_P(FailureTest, KernelMapEntryPoolExhaustion) {
   EXPECT_EQ(8, mapped);
 }
 
+// Unmapping the middle of a kernel-map entry splits it in three, so the
+// unmap walk reserves both clip entries before it touches anything. A pool
+// that cannot cover them fails the unmap up front and leaves the map as it
+// was; once a slot frees up, the same unmap goes through.
+TEST_P(FailureTest, KernelMapMidEntryUnmapNeedsTwoClipEntries) {
+  WorldConfig cfg;
+  cfg.bsd.kernel_map_entries = 3;
+  cfg.uvm.kernel_map_entries = 3;
+  World w(GetParam(), cfg);
+  kern::AddressSpace& kas = w.vm->kernel_as();
+  sim::Vaddr big = 0;
+  sim::Vaddr small = 0;
+  ASSERT_EQ(sim::kOk, w.vm->Map(kas, &big, 4 * sim::kPageSize, nullptr, 0, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.vm->Map(kas, &small, sim::kPageSize, nullptr, 0, kern::MapAttrs{}));
+  ASSERT_EQ(2u, w.vm->KernelMapEntries());
+  const std::uint64_t denials = w.machine.stats().map_entry_pool_denials;
+
+  // Two entries + two clips > three slots.
+  EXPECT_EQ(sim::kErrMapEntryPool, w.vm->Unmap(kas, big + sim::kPageSize, sim::kPageSize));
+  EXPECT_EQ(denials + 1, w.machine.stats().map_entry_pool_denials);
+  EXPECT_EQ(2u, w.vm->KernelMapEntries());
+
+  // A whole-entry unmap clips nothing and needs no reservation.
+  ASSERT_EQ(sim::kOk, w.vm->Unmap(kas, small, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.vm->Unmap(kas, big + sim::kPageSize, sim::kPageSize));
+  EXPECT_EQ(denials + 1, w.machine.stats().map_entry_pool_denials);
+  EXPECT_EQ(2u, w.vm->KernelMapEntries()) << "the front and back of the split entry";
+  w.CheckInvariants();
+}
+
+// mlock faults every page of the range in with the map already locked. A
+// disk read that fails there surfaces as kErrIO and counts as exactly one
+// pagein error, the same as on the ordinary fault path.
+TEST_P(FailureTest, MlockOfUnreadableFileCountsOnePageinError) {
+  World w(GetParam());
+  kern::Proc* p = w.kernel->Spawn();
+  w.fs.CreateFilePattern("/f", 4 * sim::kPageSize);
+  sim::Vaddr fa = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->Mmap(p, &fa, 4 * sim::kPageSize, "/f", 0, kern::MapAttrs{}));
+  sim::FaultPlan plan;
+  plan.fail_reads.push_back({.nth = 1});  // the first disk read from here on
+  w.machine.faults().SetPlan(sim::IoDevice::kFilesystemDisk, plan);
+  const std::uint64_t errors = w.machine.stats().pagein_errors;
+  const std::uint64_t faults = w.machine.stats().faults;
+
+  EXPECT_EQ(sim::kErrIO, w.kernel->Mlock(p, fa, 4 * sim::kPageSize));
+  EXPECT_EQ(errors + 1, w.machine.stats().pagein_errors);
+  EXPECT_EQ(faults + 1, w.machine.stats().faults) << "the walk stops at the failed page";
+  w.CheckInvariants();
+}
+
 TEST_P(FailureTest, FaultOutsideAnyMappingFails) {
   World w(GetParam());
   kern::Proc* p = w.kernel->Spawn();
@@ -229,7 +280,7 @@ TEST_P(FailureTest, PageoutRetriesUntilSuccess) {
 // filesystem disk is permanently dead, the dirty pages are lost. That loss
 // must be visible — every dropped page counts in Stats::pageout_drops, and
 // the retry passes leading up to the drop count in pageout_retries (both
-// VMs, one shared VmTuning::max_pageout_retries policy).
+// VMs, one shared kern::kMaxPageoutRetries policy).
 TEST_P(FailureTest, TerminateFlushDropsAreCounted) {
   WorldConfig cfg;
   cfg.bsd.object_cache_limit = 0;  // BSD: unmap terminates the object at once
@@ -269,8 +320,7 @@ TEST_P(FailureTest, TerminateFlushDropsAreCounted) {
   const sim::Stats& s = w.machine.stats();
   EXPECT_EQ(npages, s.pageout_drops) << "every dirty page silently lost must be counted";
   // The drop came only after the full shared retry budget was spent.
-  const int budget = GetParam() == VmKind::kBsd ? cfg.bsd.tuning.max_pageout_retries
-                                                : cfg.uvm.tuning.max_pageout_retries;
+  const int budget = kern::kMaxPageoutRetries;
   EXPECT_GE(s.pageout_retries, static_cast<std::uint64_t>(budget));
   EXPECT_GT(s.io_errors_injected, static_cast<std::uint64_t>(budget));
   w.CheckInvariants();

@@ -38,6 +38,13 @@ TEST_P(MapTest, FixedCollisionFails) {
   ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 4 * sim::kPageSize, fixed));
   sim::Vaddr b = 0x1000'2000;  // overlaps
   EXPECT_EQ(sim::kErrExist, w.kernel->MmapAnon(p, &b, 4 * sim::kPageSize, fixed));
+  // A device mapping takes the same fixed-address check.
+  kern::DeviceMem* dev = w.kernel->RegisterDevice("fb", 2);
+  sim::Vaddr d = 0x1000'3000;  // overlaps the last page
+  EXPECT_EQ(sim::kErrExist, w.kernel->MmapDevice(p, &d, dev, fixed));
+  d = 0x1000'4000;  // just past it
+  EXPECT_EQ(sim::kOk, w.kernel->MmapDevice(p, &d, dev, fixed));
+  EXPECT_EQ(0x1000'4000u, d);
 }
 
 TEST_P(MapTest, ZeroLengthIsInvalid) {

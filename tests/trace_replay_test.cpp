@@ -90,6 +90,27 @@ TEST_P(TraceReplayTest, BadSyntaxReported) {
   auto res3 = kern::ReplayTrace(*w.kernel, "proc a\nwrite a $nope 0 1\n");
   EXPECT_NE(sim::kOk, res3.err);
   EXPECT_NE(std::string::npos, res3.message.find("register"));
+
+  // Page counts and offsets are checked, not wrapped: 2^52 pages is 2^64
+  // bytes, and 2^52 - 1 pages from $r ends past the top of the address
+  // space. Each line fails at itself, naming its field.
+  const std::string prefix = "file /f 4\nproc main\nmmap main $r 4 rw private\n";
+  for (const char* line : {
+           "mmap main $big 4503599627370497 rw private",
+           "munmap main $r 4503599627370496",
+           "mlock main $r 4503599627370495",
+           "write main $r 4503599627370496 0x33",
+           "read main $r 4503599627370495 0",
+           "readf main $r 4503599627370496 /f 0",
+           "readf main $r 0 /f 4503599627370496",
+           "file /g 4503599627370496",
+           "mmap main $m 1 ro private /f 4503599627370496",
+       }) {
+    auto r = kern::ReplayTrace(*w.kernel, prefix + line + "\n");
+    EXPECT_EQ(sim::kErrInval, r.err) << line;
+    EXPECT_EQ(4, r.line) << line;
+    EXPECT_NE(std::string::npos, r.message.find("overflows 64 bits")) << r.message;
+  }
 }
 
 TEST_P(TraceReplayTest, WireOpsRun) {
