@@ -11,6 +11,10 @@ fingerprint per bench:
   3. every trace file must be valid JSON in Chrome-trace shape, and
      tools/traceview must summarize it (exit 0)
 
+The 3 x 8 bench processes are independent and deterministic, so they run
+concurrently, up to os.cpu_count() at a time; the checks, the printed lines
+and the JSON still follow BENCHES order.
+
 With --pressure SPEC, every bench run gets --pressure=SPEC appended: the
 same determinism checks then apply to the benches *under memory pressure*
 (shrinking/growing phys and swap at virtual-time points, emergency
@@ -41,6 +45,7 @@ Usage: bench_virtual_json.py --bindir build/bench --out build/BENCH_virtual.json
 """
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -101,19 +106,30 @@ def main():
     if args.audit is not None:
         extra.append(f"--audit={args.audit}")
 
+    # Queue every run at once; the pool caps how many execute together. The
+    # trace directory goes away at exit.
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    tmpdir = tempfile.TemporaryDirectory()
+    runs = {}
+    for name in BENCHES:
+        exe = os.path.join(args.bindir, name)
+        trace_path = os.path.join(tmpdir.name, f"{name}.json")
+        cmds = ([exe] + extra, [exe] + extra, [exe, f"--trace={trace_path}"] + extra)
+        runs[name] = (trace_path, [pool.submit(run, cmd) for cmd in cmds])
+
     result = {}
     failures = []
     for name in BENCHES:
-        exe = os.path.join(args.bindir, name)
-        first = run([exe] + extra)
-        second = run([exe] + extra)
+        trace_path, futures = runs[name]
+        try:
+            first, second, traced = (f.result() for f in futures)
+        except SystemExit:  # a run failed: drop the queued ones and stop
+            pool.shutdown(cancel_futures=True)
+            raise
         if first != second:
             failures.append(f"{name}: two untraced runs differ")
 
-        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-            trace_path = tmp.name
         try:
-            traced = run([exe, f"--trace={trace_path}"] + extra)
             if traced != first:
                 failures.append(f"{name}: stdout changed when tracing was enabled")
             with open(trace_path, encoding="utf-8") as f:

@@ -28,20 +28,9 @@ BsdAddressSpace::BsdAddressSpace(BsdVm& vm, bool is_kernel)
           is_kernel ? std::function<void(phys::Page*)>{}
                     : [&vm, this](phys::Page* pt) {
                         sim::Vaddr va = 0;
-                        auto& kmap = vm.kernel_as_->map_;
-                        kmap.Lock();
-                        int err = kmap.FindSpace(&va, sim::kPageSize);
-                        SIM_ASSERT(err == sim::kOk);
-                        MapEntry e;
-                        e.start = va;
-                        e.end = va + sim::kPageSize;
-                        e.prot = sim::Prot::kReadWrite;
-                        e.inherit = sim::Inherit::kNone;
-                        e.wired_count = 1;
-                        err = kmap.InsertEntry(e);
+                        int err = vm.MapWiredKernelRange(1, &va);
                         SIM_POOL_FATAL_OK("BSD PT-page mirror fires mid-fault with no way to back out; the kernel entry pool is never shrunk by pressure plans");
                         SIM_ASSERT_MSG(err == sim::kOk, "kernel map entry pool exhausted");
-                        kmap.Unlock();
                         ptpage_entries_.emplace(pt, va);
                       },
           is_kernel ? std::function<void(phys::Page*)>{}
@@ -78,28 +67,11 @@ BsdVm::BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu,
 }
 
 BsdVm::~BsdVm() {
-  // Release device objects and their wired frames, in object-creation order
-  // rather than hash order: freed frames reach the allocator's free list,
-  // whose order later allocations observe.
-  std::vector<VmObject*> dev_objs;
-  dev_objs.reserve(device_objects_.size());
-  SIM_ORDERED_OK("collect only; sorted by creation id below");
+  // Release device objects and their wired frames in creation order: freed
+  // frames reach the allocator's free list, whose order later allocations
+  // observe.
   for (auto& [dev, obj] : device_objects_) {
-    dev_objs.push_back(obj);
-  }
-  std::sort(dev_objs.begin(), dev_objs.end(),
-            [](const VmObject* a, const VmObject* b) { return a->id < b->id; });
-  for (VmObject* obj : dev_objs) {
-    // The DeviceMem may already be destroyed (the kernel owns it); free the
-    // frames from the object's own page list.
-    while (!obj->pages.empty()) {
-      phys::Page* p = obj->pages.begin()->second;
-      obj->pages.erase(p->offset);
-      mmu_.PageProtect(p, sim::Prot::kNone);
-      pm_.Unwire(p);
-      pm_.Dequeue(p);
-      pm_.FreePage(p);
-    }
+    kern::FreeDeviceFrames(mmu_, pm_, obj->pages);
     DerefObject(obj);
   }
   device_objects_.clear();
@@ -117,12 +89,6 @@ BsdVm::~BsdVm() {
 
 kern::AddressSpace* BsdVm::CreateAddressSpace() {
   return new BsdAddressSpace(*this, /*is_kernel=*/false);
-}
-
-void BsdVm::DestroyAddressSpace(kern::AddressSpace* as_) {
-  auto* as = static_cast<BsdAddressSpace*>(as_);
-  Unmap(*as, kUserMin, kUserMax - kUserMin);
-  delete as;
 }
 
 // ---------------------------------------------------------------------------
@@ -287,12 +253,7 @@ int BsdVm::ContainPoisonedPage(phys::Page* p) {
     }
     return sim::kErrMemPoison;
   }
-  ++machine_.stats().poison_discards;
-  ++machine_.stats().poison_refetches;
-  if (machine_.tracer().enabled()) {
-    machine_.tracer().Instant(sim::CostCat::kPoison, "bsd_poison_refetch", machine_.clock().now(),
-                              p->pfn);
-  }
+  kern::CountPoisonRefetch(machine_, "bsd_poison_refetch", p->pfn);
   FreeObjectPage(p);
   return sim::kOk;
 }
@@ -469,7 +430,8 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
                      const kern::MapAttrs& attrs) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_map_device");
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  auto dit = device_objects_.find(&dev);
+  auto dit = std::find_if(device_objects_.begin(), device_objects_.end(),
+                          [&](const auto& d) { return d.first == &dev; });
   if (dit == device_objects_.end()) {
     // BSD VM: a standalone device object plus pager structures, entered in
     // the registry with a permanent reference.
@@ -484,7 +446,7 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
       obj->pages.emplace(i, p);
     }
     dev.adopted_by_vm = true;
-    dit = device_objects_.emplace(&dev, obj).first;
+    dit = device_objects_.insert(dit, {&dev, obj});
   }
   VmObject* obj = dit->second;
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
@@ -569,111 +531,84 @@ int BsdVm::SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
       [advice](MapEntry& e) { e.advice = advice; });
 }
 
-int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+int BsdVm::Msync(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
   sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "bsd_msync");
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
   int rc = sim::kOk;
-  for (auto& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
-    // Walk the chain to the vnode object, flushing its dirty pages in the
-    // affected index range — one page per I/O operation.
-    VmObject* obj = e.object;
-    std::uint64_t pgoff = e.pgoffset;
-    while (obj != nullptr && obj->internal_) {
-      pgoff += obj->shadow_pgoffset;
-      obj = obj->shadow;
-    }
-    if (obj == nullptr || obj->pager == nullptr) {
-      continue;
-    }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
-    for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
-      std::uint64_t pgi = pgoff + ((va - e.start) >> sim::kPageShift);
-      phys::Page* p = obj->LookupPage(pgi);
-      // Never flush a poisoned page: its bytes are garbage and would
-      // overwrite the coherent on-disk copy.
-      if (p != nullptr && p->dirty && !p->poisoned) {
-        // On error the page stays dirty; keep flushing the rest of the
-        // range and report the first failure.
-        int err = obj->pager->PutPage(pm_, p, pgi);
-        if (err != sim::kOk && rc == sim::kOk) {
-          rc = err;
+  kern::ForEachOverlap(
+      static_cast<BsdAddressSpace&>(as).map_, addr, len,
+      [&](MapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
+        // Walk the chain to the vnode object, flushing its dirty pages in
+        // the affected index range — one page per I/O operation.
+        VmObject* obj = e.object;
+        std::uint64_t pgoff = e.pgoffset;
+        while (obj != nullptr && obj->internal_) {
+          pgoff += obj->shadow_pgoffset;
+          obj = obj->shadow;
         }
-      }
-    }
-  }
-  map.Unlock();
+        if (obj == nullptr || obj->pager == nullptr) {
+          return;
+        }
+        for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
+          std::uint64_t pgi = pgoff + ((va - e.start) >> sim::kPageShift);
+          phys::Page* p = obj->LookupPage(pgi);
+          // Never flush a poisoned page: its bytes are garbage and would
+          // overwrite the coherent on-disk copy.
+          if (p != nullptr && p->dirty && !p->poisoned) {
+            // On error the page stays dirty; keep flushing the rest of the
+            // range and report the first failure.
+            int err = obj->pager->PutPage(pm_, p, pgi);
+            if (err != sim::kOk && rc == sim::kOk) {
+              rc = err;
+            }
+          }
+        }
+      });
   return rc;
 }
 
-int BsdVm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  for (MapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
-    // Only a privately held, chain-less anonymous object can be discarded
-    // safely (anything deeper would "reveal" stale chain data).
-    VmObject* obj = e.object;
-    if (obj == nullptr || !obj->internal_ || obj->ref_count != 1 || obj->shadow != nullptr) {
-      continue;
-    }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
-    for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
-      std::uint64_t pgi = e.PageIndexOf(va);
-      phys::Page* p = obj->LookupPage(pgi);
-      if (p != nullptr && p->wire_count == 0 && p->loan_count == 0) {
-        FreeObjectPage(p);
-      }
-      if (obj->pager != nullptr) {
-        static_cast<SwapPager*>(obj->pager.get())->Invalidate(pgi);
-      }
-    }
-  }
-  map.Unlock();
+int BsdVm::MadvFree(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
+  kern::ForEachOverlap(
+      static_cast<BsdAddressSpace&>(as).map_, addr, len,
+      [&](MapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
+        // Only a privately held, chain-less anonymous object can be
+        // discarded safely (anything deeper would "reveal" stale chain data).
+        VmObject* obj = e.object;
+        if (obj == nullptr || !obj->internal_ || obj->ref_count != 1 || obj->shadow != nullptr) {
+          return;
+        }
+        for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
+          std::uint64_t pgi = e.PageIndexOf(va);
+          phys::Page* p = obj->LookupPage(pgi);
+          if (p != nullptr && p->wire_count == 0 && p->loan_count == 0) {
+            FreeObjectPage(p);
+          }
+          if (obj->pager != nullptr) {
+            static_cast<SwapPager*>(obj->pager.get())->Invalidate(pgi);
+          }
+        }
+      });
   return sim::kOk;
 }
 
-int BsdVm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int BsdVm::Mincore(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                    std::vector<bool>* out) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  out->clear();
-  VmMap& map = as.map_;
-  map.Lock();
-  for (sim::Vaddr va = sim::PageTrunc(addr); va < addr + len; va += sim::kPageSize) {
-    auto it = map.LookupEntry(va);
-    if (it == map.entries().end()) {
-      map.Unlock();
-      return sim::kErrFault;
-    }
-    bool resident = false;
-    VmObject* obj = it->object;
-    std::uint64_t pgi = it->PageIndexOf(va);
-    while (obj != nullptr) {
-      if (obj->LookupPage(pgi) != nullptr) {
-        resident = true;
-        break;
-      }
-      pgi += obj->shadow_pgoffset;
-      obj = obj->shadow;
-    }
-    out->push_back(resident);
-  }
-  map.Unlock();
-  return sim::kOk;
+  // The page the process sees comes from the first object in the chain
+  // that holds it, in memory or in its pager: FaultBody's rule. It is
+  // resident only if that object holds it in memory.
+  return kern::MincoreRange(
+      static_cast<BsdAddressSpace&>(as).map_, addr, len, out, [](MapEntry& e, sim::Vaddr va) {
+        std::uint64_t pgi = e.PageIndexOf(va);
+        for (VmObject* obj = e.object; obj != nullptr; obj = obj->shadow) {
+          if (obj->LookupPage(pgi) != nullptr) {
+            return true;
+          }
+          if (obj->pager != nullptr && obj->pager->HasPage(pgi)) {
+            return false;
+          }
+          pgi += obj->shadow_pgoffset;
+        }
+        return false;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -705,72 +640,49 @@ void BsdVm::UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) {
   Unwire(as, tw.va, tw.len);
 }
 
-int BsdVm::AllocProcResources(kern::ProcKernelResources* out) {
-  // BSD: the u-area and kernel stack are wired allocations in the kernel
-  // map — two kernel map entries per process (§3.2).
+int BsdVm::MapWiredKernelRange(std::size_t npages, sim::Vaddr* va) {
   VmMap& kmap = kernel_as_->map_;
-  for (std::size_t npages : {kern::kUPages, kern::kKStackPages}) {
-    kmap.Lock();
-    sim::Vaddr va = kernel_alloc_hint_;
-    if (int err = kmap.FindSpace(&va, npages * sim::kPageSize); err != sim::kOk) {
-      kmap.Unlock();
-      return err;
-    }
+  kmap.Lock();
+  *va = 0;
+  int err = kmap.FindSpace(va, npages * sim::kPageSize);
+  if (err == sim::kOk) {
     MapEntry e;
-    e.start = va;
-    e.end = va + npages * sim::kPageSize;
+    e.start = *va;
+    e.end = *va + npages * sim::kPageSize;
     e.prot = sim::Prot::kReadWrite;
     e.inherit = sim::Inherit::kNone;
     e.wired_count = 1;
-    if (int err = kmap.InsertEntry(e); err != sim::kOk) {
-      kmap.Unlock();
-      return err;
-    }
-    kmap.Unlock();
-    out->kernel_ranges.emplace_back(va, npages * sim::kPageSize);
-    for (std::size_t i = 0; i < npages; ++i) {
-      phys::Page* p = AllocPageReclaim(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
-      if (p == nullptr) {
-        return sim::kErrNoMem;
-      }
-      pm_.Wire(p);
-      out->wired_pages.push_back(p);
-    }
+    err = kmap.InsertEntry(e);
   }
+  kmap.Unlock();
+  return err;
+}
+
+int BsdVm::MapProcRange(std::size_t npages, kern::ProcKernelResources* out) {
+  // BSD: the u-area and kernel stack are wired allocations in the kernel
+  // map — two kernel map entries per process (§3.2).
+  sim::Vaddr va = 0;
+  if (int err = MapWiredKernelRange(npages, &va); err != sim::kOk) {
+    return err;
+  }
+  out->kernel_ranges.emplace_back(va, npages * sim::kPageSize);
   return sim::kOk;
 }
 
-void BsdVm::SwapOutProcResources(kern::ProcKernelResources& res) {
+void BsdVm::SetProcRangesWired(kern::ProcKernelResources& res, bool wired) {
   // BSD VM: the wired state lives in the kernel map, so swapping a process
-  // out means relocking the kernel map and editing its entries (§3.2).
+  // out or in means relocking the kernel map and editing its entries (§3.2).
   VmMap& kmap = kernel_as_->map_;
   for (auto [va, len] : res.kernel_ranges) {
     kmap.Lock();
     auto it = kmap.LookupEntry(va);
     SIM_ASSERT(it != kmap.entries().end());
-    it->wired_count = 0;
+    it->wired_count = wired ? 1 : 0;
     kmap.Unlock();
-  }
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Unwire(p);
   }
 }
 
-void BsdVm::SwapInProcResources(kern::ProcKernelResources& res) {
-  VmMap& kmap = kernel_as_->map_;
-  for (auto [va, len] : res.kernel_ranges) {
-    kmap.Lock();
-    auto it = kmap.LookupEntry(va);
-    SIM_ASSERT(it != kmap.entries().end());
-    it->wired_count = 1;
-    kmap.Unlock();
-  }
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Wire(p);
-  }
-}
-
-void BsdVm::FreeProcResources(kern::ProcKernelResources& res) {
+void BsdVm::UnmapProcRanges(kern::ProcKernelResources& res) {
   VmMap& kmap = kernel_as_->map_;
   for (auto [va, len] : res.kernel_ranges) {
     kmap.Lock();
@@ -781,12 +693,6 @@ void BsdVm::FreeProcResources(kern::ProcKernelResources& res) {
     kmap.Unlock();
   }
   res.kernel_ranges.clear();
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Unwire(p);
-    pm_.Dequeue(p);
-    pm_.FreePage(p);
-  }
-  res.wired_pages.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class BsdVm : public kern::VmSystem {
   const char* name() const override { return "bsdvm"; }
 
   kern::AddressSpace* CreateAddressSpace() override;
-  void DestroyAddressSpace(kern::AddressSpace* as) override;
   kern::AddressSpace* Fork(kern::AddressSpace& parent) override;
   kern::AddressSpace& kernel_as() override { return *kernel_as_; }
 
@@ -87,10 +86,9 @@ class BsdVm : public kern::VmSystem {
                     kern::TransientWiring* out) override;
   void UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) override;
 
-  int AllocProcResources(kern::ProcKernelResources* out) override;
-  void FreeProcResources(kern::ProcKernelResources& res) override;
-  void SwapOutProcResources(kern::ProcKernelResources& res) override;
-  void SwapInProcResources(kern::ProcKernelResources& res) override;
+  int MapProcRange(std::size_t npages, kern::ProcKernelResources* out) override;
+  void SetProcRangesWired(kern::ProcKernelResources& res, bool wired) override;
+  void UnmapProcRanges(kern::ProcKernelResources& res) override;
 
   int Fault(kern::AddressSpace& as, sim::Vaddr addr, sim::Access access) override;
 
@@ -157,6 +155,9 @@ class BsdVm : public kern::VmSystem {
 
   // The reference a clip adds: the new half shares the object.
   void RefClip(MapEntry& e);
+  // Insert a wired kernel-map entry of `npages` at the lowest free address
+  // (a u-area or kernel stack range, or a page-table page's mirror).
+  int MapWiredKernelRange(std::size_t npages, sim::Vaddr* va);
 
   sim::Machine& machine_;
   phys::PhysMem& pm_;
@@ -191,8 +192,8 @@ class BsdVm : public kern::VmSystem {
   std::list<VmObject*> object_cache_;  // front = least recently cached
   // Device objects: one per mapped device, permanently referenced by this
   // registry (BSD's device pager kept the pages for the device lifetime).
-  std::unordered_map<kern::DeviceMem*, VmObject*> device_objects_;
-  sim::Vaddr kernel_alloc_hint_ = 0;
+  // In creation order, which is the order teardown frees their frames in.
+  std::vector<std::pair<kern::DeviceMem*, VmObject*>> device_objects_;
   int audit_token_ = 0;
 };
 

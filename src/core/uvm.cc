@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "src/phys/pagedaemon.h"
 #include "src/sim/annotations.h"
@@ -63,27 +64,10 @@ Uvm::~Uvm() {
     }
   }
   attached_vnodes_.clear();
-  // Tear devices down in creation order, not hash order: the freed frames
-  // reach the allocator's free list, whose order later allocations observe.
-  std::vector<UvmDevice*> devs;
-  devs.reserve(devices_.size());
-  SIM_ORDERED_OK("collect only; sorted by creation id below");
-  for (auto& [dev, udev] : devices_) {
-    devs.push_back(udev.get());
-  }
-  std::sort(devs.begin(), devs.end(),
-            [](const UvmDevice* a, const UvmDevice* b) { return a->id < b->id; });
-  for (UvmDevice* udev : devs) {
-    // The DeviceMem may already be destroyed (the kernel owns it); free the
-    // frames from our own object's page list.
-    while (!udev->uobj.pages.empty()) {
-      phys::Page* p = udev->uobj.pages.begin()->second;
-      udev->uobj.pages.erase(p->offset);
-      mmu_.PageProtect(p, sim::Prot::kNone);
-      pm_.Unwire(p);
-      pm_.Dequeue(p);
-      pm_.FreePage(p);
-    }
+  // Devices in creation order: the freed frames reach the allocator's free
+  // list, whose order later allocations observe.
+  for (auto& udev : devices_) {
+    kern::FreeDeviceFrames(mmu_, pm_, udev->uobj.pages);
   }
   devices_.clear();
   SIM_ASSERT_MSG(all_anons_.empty(), "Uvm destroyed with live anons");
@@ -94,12 +78,6 @@ Uvm::~Uvm() {
 
 kern::AddressSpace* Uvm::CreateAddressSpace() {
   return new UvmAddressSpace(*this, /*is_kernel=*/false);
-}
-
-void Uvm::DestroyAddressSpace(kern::AddressSpace* as_) {
-  auto* as = static_cast<UvmAddressSpace*>(as_);
-  Unmap(*as, kUserMin, kUserMax - kUserMin);
-  delete as;
 }
 
 // ---------------------------------------------------------------------------
@@ -298,14 +276,14 @@ int Uvm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::
 int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& dev,
                    const kern::MapAttrs& attrs) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  auto it = devices_.find(&dev);
+  auto it = std::find_if(devices_.begin(), devices_.end(),
+                         [&](const auto& udev) { return udev->dev == &dev; });
   if (it == devices_.end()) {
     // Embed a uvm_object around the device's frames — §4's "any kernel
     // abstraction" in action; no separate pager structures exist.
-    it = devices_.emplace(&dev, std::make_unique<UvmDevice>(*this, &dev)).first;
-    it->second->id = next_device_id_++;
+    it = devices_.insert(it, std::make_unique<UvmDevice>(*this, &dev));
   }
-  UvmObject& uobj = it->second->uobj;
+  UvmObject& uobj = (*it)->uobj;
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
   UvmMap& map = as.map_;
   map.Lock();
@@ -419,13 +397,8 @@ int Uvm::SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
       [advice](UvmMapEntry& e) { e.advice = advice; });
 }
 
-int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+int Uvm::Msync(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
   sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "uvm_msync");
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
   int rc = sim::kOk;
   // On a flush error the pages stay dirty; keep going so the rest of the
   // range is synced, and report the first error to the caller.
@@ -435,54 +408,44 @@ int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
       rc = err;
     }
   };
-  for (UvmMapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end || e.uobj == nullptr) {
-      continue;
-    }
-    // Flush dirty object pages in clustered contiguous runs.
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
-    std::vector<phys::Page*> run;
-    std::uint64_t prev = 0;
-    for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
-      std::uint64_t pgi = e.ObjIndexOf(va);
-      phys::Page* p = e.uobj->LookupPage(pgi);
-      // Never flush a poisoned page: its bytes are garbage, and writing
-      // them back would replace good on-disk data with corruption.
-      if (p != nullptr && p->dirty && !p->poisoned) {
-        if (!run.empty() && pgi != prev + 1) {
-          put(e, run);
-          run.clear();
+  kern::ForEachOverlap(
+      static_cast<UvmAddressSpace&>(as).map_, addr, len,
+      [&](UvmMapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
+        if (e.uobj == nullptr) {
+          return;
         }
-        run.push_back(p);
-        prev = pgi;
-      }
-    }
-    if (!run.empty()) {
-      put(e, run);
-    }
-  }
-  map.Unlock();
+        // Flush dirty object pages in clustered contiguous runs.
+        std::vector<phys::Page*> run;
+        std::uint64_t prev = 0;
+        for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
+          std::uint64_t pgi = e.ObjIndexOf(va);
+          phys::Page* p = e.uobj->LookupPage(pgi);
+          // Never flush a poisoned page: its bytes are garbage, and writing
+          // them back would replace good on-disk data with corruption.
+          if (p != nullptr && p->dirty && !p->poisoned) {
+            if (!run.empty() && pgi != prev + 1) {
+              put(e, run);
+              run.clear();
+            }
+            run.push_back(p);
+            prev = pgi;
+          }
+        }
+        if (!run.empty()) {
+          put(e, run);
+        }
+      });
   return rc;
 }
 
 int Uvm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  for (UvmMapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
+  kern::ForEachOverlap(as.map_, addr, len, [&](UvmMapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
     // Only a privately held anonymous layer can be discarded safely: a
     // shared or needs-copy amap is visible to other entries.
     if (e.amap == nullptr || e.amap->ref_count != 1 || e.amap->shared || e.needs_copy) {
-      continue;
+      return;
     }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
       std::uint64_t slot = e.SlotOf(va);
       Anon* a = e.amap->Get(slot);
@@ -496,39 +459,15 @@ int Uvm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
       as.pmap_.Remove(va);
       DerefAnon(a);
     }
-  }
-  map.Unlock();
+  });
   return sim::kOk;
 }
 
-int Uvm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
+int Uvm::Mincore(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                  std::vector<bool>* out) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  out->clear();
-  UvmMap& map = as.map_;
-  map.Lock();
-  for (sim::Vaddr va = sim::PageTrunc(addr); va < addr + len; va += sim::kPageSize) {
-    auto it = map.LookupEntry(va);
-    if (it == map.entries().end()) {
-      map.Unlock();
-      return sim::kErrFault;
-    }
-    bool resident = false;
-    if (it->amap != nullptr) {
-      Anon* a = it->amap->Get(it->SlotOf(va));
-      if (a != nullptr) {
-        resident = a->page != nullptr;
-      } else if (it->uobj != nullptr) {
-        resident = it->uobj->LookupPage(it->ObjIndexOf(va)) != nullptr;
-      }
-    } else if (it->uobj != nullptr) {
-      resident = it->uobj->LookupPage(it->ObjIndexOf(va)) != nullptr;
-    }
-    out->push_back(resident);
-  }
-  map.Unlock();
-  return sim::kOk;
+  return kern::MincoreRange(
+      static_cast<UvmAddressSpace&>(as).map_, addr, len, out,
+      [this](UvmMapEntry& e, sim::Vaddr va) { return ResidentPageAt(e, va) != nullptr; });
 }
 
 // ---------------------------------------------------------------------------
@@ -584,43 +523,6 @@ void Uvm::UnwireTransient(kern::AddressSpace& /*as*/, kern::TransientWiring& tw)
     pm_.Unwire(p);
   }
   tw.pages.clear();
-}
-
-int Uvm::AllocProcResources(kern::ProcKernelResources* out) {
-  // UVM: the u-area and kernel stack are wired frames whose wired state is
-  // recorded in the proc structure — zero kernel map entries (§3.2).
-  for (std::size_t i = 0; i < kern::kUPages + kern::kKStackPages; ++i) {
-    phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
-    if (p == nullptr) {
-      return sim::kErrNoMem;
-    }
-    pm_.Wire(p);
-    out->wired_pages.push_back(p);
-  }
-  return sim::kOk;
-}
-
-void Uvm::SwapOutProcResources(kern::ProcKernelResources& res) {
-  // The wired state is recorded right here in the proc's resource struct;
-  // no map is consulted or modified (§3.2).
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Unwire(p);
-  }
-}
-
-void Uvm::SwapInProcResources(kern::ProcKernelResources& res) {
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Wire(p);
-  }
-}
-
-void Uvm::FreeProcResources(kern::ProcKernelResources& res) {
-  for (phys::Page* p : res.wired_pages) {
-    pm_.Unwire(p);
-    pm_.Dequeue(p);
-    pm_.FreePage(p);
-  }
-  res.wired_pages.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -866,12 +768,7 @@ int Uvm::ContainPoisonedAnon(Anon* anon) {
   // Clean: the swap slot (kept valid while the page is clean) or a fresh
   // zero fill re-materializes the contents. Discard; the caller refetches
   // transparently and the process never notices.
-  ++machine_.stats().poison_discards;
-  ++machine_.stats().poison_refetches;
-  if (machine_.tracer().enabled()) {
-    machine_.tracer().Instant(sim::CostCat::kPoison, "uvm_poison_refetch",
-                              machine_.clock().now(), p->pfn);
-  }
+  kern::CountPoisonRefetch(machine_, "uvm_poison_refetch", p->pfn);
   anon->page = nullptr;
   pm_.FreePage(p);  // poisoned: retires instead of rejoining the free list
   return sim::kOk;
@@ -888,12 +785,7 @@ int Uvm::ContainPoisonedObjPage(phys::Page* p) {
     ReleaseObjectPage(p);
     return sim::kErrMemPoison;
   }
-  ++machine_.stats().poison_discards;
-  ++machine_.stats().poison_refetches;
-  if (machine_.tracer().enabled()) {
-    machine_.tracer().Instant(sim::CostCat::kPoison, "uvm_poison_refetch",
-                              machine_.clock().now(), p->pfn);
-  }
+  kern::CountPoisonRefetch(machine_, "uvm_poison_refetch", p->pfn);
   ReleaseObjectPage(p);
   return sim::kOk;
 }

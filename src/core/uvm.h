@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -84,7 +83,6 @@ class Uvm : public kern::VmSystem {
   const char* name() const override { return "uvm"; }
 
   kern::AddressSpace* CreateAddressSpace() override;
-  void DestroyAddressSpace(kern::AddressSpace* as) override;
   kern::AddressSpace* Fork(kern::AddressSpace& parent) override;
   kern::AddressSpace& kernel_as() override { return *kernel_as_; }
 
@@ -109,11 +107,6 @@ class Uvm : public kern::VmSystem {
   int WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                     kern::TransientWiring* out) override;
   void UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) override;
-
-  int AllocProcResources(kern::ProcKernelResources* out) override;
-  void FreeProcResources(kern::ProcKernelResources& res) override;
-  void SwapOutProcResources(kern::ProcKernelResources& res) override;
-  void SwapInProcResources(kern::ProcKernelResources& res) override;
 
   int Fault(kern::AddressSpace& as, sim::Vaddr addr, sim::Access access) override;
 
@@ -255,8 +248,8 @@ class Uvm : public kern::VmSystem {
   std::unordered_set<Anon*> all_anons_;
   std::unordered_set<Amap*> all_amaps_;
   std::unordered_set<vfs::Vnode*> attached_vnodes_;
-  std::unordered_map<kern::DeviceMem*, std::unique_ptr<UvmDevice>> devices_;
-  std::uint64_t next_device_id_ = 0;
+  // In creation order, which is the order teardown frees their frames in.
+  std::vector<std::unique_ptr<UvmDevice>> devices_;
   std::function<void(phys::Page*)> loan_revoke_hook_;
   int poison_hook_token_ = 0;
   int audit_token_ = 0;

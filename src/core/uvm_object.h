@@ -98,10 +98,6 @@ class UvmDevice {
   UvmObject uobj;
   kern::DeviceMem* dev;
   Uvm& vm;
-  // Creation order, used as the deterministic teardown key (the DeviceMem
-  // pointer may already dangle at teardown, and pointer order is not
-  // reproducible across runs anyway).
-  std::uint64_t id = 0;
 };
 
 // Pager ops singletons.

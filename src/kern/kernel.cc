@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/phys/pagedaemon.h"
 #include "src/sim/annotations.h"
 #include "src/sim/assert.h"
 #include "src/sim/retry.h"
@@ -47,17 +48,7 @@ Kernel::~Kernel() {
 Proc* Kernel::Spawn(std::size_t cpu) {
   sim::CpuScope on_cpu(machine_.scheduler(), cpu);
   machine_.PollAudit();
-  auto proc = std::make_unique<Proc>();
-  proc->pid = next_pid_++;
-  proc->cpu = cpu;
-  proc->as = vm_.CreateAddressSpace();
-  if (vm_.AllocProcResources(&proc->kres) != sim::kOk) {
-    vm_.DestroyAddressSpace(proc->as);
-    return nullptr;  // pool exhausted; the caller decides how to degrade
-  }
-  Proc* raw = proc.get();
-  procs_.emplace(raw->pid, std::move(proc));
-  return raw;
+  return NewProc(cpu, vm_.CreateAddressSpace(), /*shares_as=*/false);
 }
 
 Proc* Kernel::Fork(Proc* parent) {
@@ -66,17 +57,7 @@ Proc* Kernel::Fork(Proc* parent) {
     return nullptr;  // the parent's address space is already gone
   }
   machine_.PollAudit();
-  auto proc = std::make_unique<Proc>();
-  proc->pid = next_pid_++;
-  proc->cpu = parent->cpu;
-  proc->as = vm_.Fork(*parent->as);
-  if (vm_.AllocProcResources(&proc->kres) != sim::kOk) {
-    vm_.DestroyAddressSpace(proc->as);
-    return nullptr;
-  }
-  Proc* raw = proc.get();
-  procs_.emplace(raw->pid, std::move(proc));
-  return raw;
+  return NewProc(parent->cpu, vm_.Fork(*parent->as), /*shares_as=*/false);
 }
 
 Proc* Kernel::Vfork(Proc* parent) {
@@ -85,40 +66,82 @@ Proc* Kernel::Vfork(Proc* parent) {
     return nullptr;
   }
   machine_.PollAudit();
+  return NewProc(parent->cpu, parent->as, /*shares_as=*/true);  // borrowed, not copied
+}
+
+Proc* Kernel::NewProc(std::size_t cpu, AddressSpace* as, bool shares_as) {
   auto proc = std::make_unique<Proc>();
   proc->pid = next_pid_++;
-  proc->cpu = parent->cpu;
-  proc->as = parent->as;  // borrowed, not copied
-  proc->shares_as = true;
-  if (vm_.AllocProcResources(&proc->kres) != sim::kOk) {
-    return nullptr;  // the borrowed address space stays with the parent
+  proc->cpu = cpu;
+  proc->as = as;
+  proc->shares_as = shares_as;
+  if (AllocProcResources(&proc->kres) != sim::kOk) {
+    if (!shares_as) {
+      vm_.DestroyAddressSpace(as);
+    }
+    return nullptr;  // pool exhausted; the caller decides how to degrade
   }
   Proc* raw = proc.get();
   procs_.emplace(raw->pid, std::move(proc));
   return raw;
 }
 
+int Kernel::AllocProcResources(ProcKernelResources* res) {
+  for (std::size_t npages : {kUPages, kKStackPages}) {
+    int err = vm_.MapProcRange(npages, res);
+    for (std::size_t i = 0; err == sim::kOk && i < npages; ++i) {
+      phys::Page* p =
+          phys::AllocOrReclaim(pm_, kMaxAllocRetries, phys::OwnerKind::kKernel, &vm_, 0,
+                               /*zero=*/true, [this] { vm_.PageDaemon(pm_.free_target()); });
+      if (p == nullptr) {
+        err = sim::kErrNoMem;
+        break;
+      }
+      pm_.Wire(p);
+      res->wired_pages.push_back(p);
+    }
+    if (err != sim::kOk) {
+      FreeProcResources(*res);
+      return err;
+    }
+  }
+  return sim::kOk;
+}
+
+void Kernel::FreeProcResources(ProcKernelResources& res) {
+  vm_.UnmapProcRanges(res);
+  for (phys::Page* p : res.wired_pages) {
+    pm_.Unwire(p);
+    pm_.Dequeue(p);
+    pm_.FreePage(p);
+  }
+  res.wired_pages.clear();
+}
+
+void Kernel::SetUareaWired(Proc* p, bool wired) {
+  SIM_ASSERT(p->swapped_out == wired);
+  vm_.SetProcRangesWired(p->kres, wired);
+  for (phys::Page* pg : p->kres.wired_pages) {
+    if (wired) {
+      pm_.Wire(pg);
+    } else {
+      pm_.Unwire(pg);
+    }
+  }
+  p->swapped_out = !wired;
+}
+
 void Kernel::SwapOutProc(Proc* p) {
   sim::CpuScope on_cpu(machine_.scheduler(), p->cpu);
-  SIM_ASSERT(!p->swapped_out);
-  vm_.SwapOutProcResources(p->kres);
-  p->swapped_out = true;
+  SetUareaWired(p, false);
 }
 
 void Kernel::SwapInProc(Proc* p) {
   sim::CpuScope on_cpu(machine_.scheduler(), p->cpu);
-  SIM_ASSERT(p->swapped_out);
-  vm_.SwapInProcResources(p->kres);
-  p->swapped_out = false;
+  SetUareaWired(p, true);
 }
 
-void Kernel::Exit(Proc* p) {
-  sim::CpuScope on_cpu(machine_.scheduler(), p->cpu);
-  machine_.PollAudit();
-  if (!p->alive) {
-    procs_.erase(p->pid);  // reap the zombie shell left by a kill
-    return;
-  }
+void Kernel::TearDown(Proc* p) {
   for (TransientWiring& tw : p->kernel_stack_wirings) {
     vm_.UnwireTransient(*p->as, tw);
   }
@@ -126,13 +149,21 @@ void Kernel::Exit(Proc* p) {
   if (!p->shares_as) {
     vm_.DestroyAddressSpace(p->as);
   }
+  p->as = nullptr;
   if (p->swapped_out) {
-    vm_.SwapInProcResources(p->kres);
-    p->swapped_out = false;
+    SetUareaWired(p, true);
   }
-  vm_.FreeProcResources(p->kres);
+  FreeProcResources(p->kres);
   p->alive = false;
-  procs_.erase(p->pid);
+}
+
+void Kernel::Exit(Proc* p) {
+  sim::CpuScope on_cpu(machine_.scheduler(), p->cpu);
+  machine_.PollAudit();
+  if (p->alive) {
+    TearDown(p);
+  }
+  procs_.erase(p->pid);  // for a killed process, reaps its zombie shell
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +373,7 @@ int Kernel::RecoverFromPressure(Proc* p, sim::Vaddr va, bool write, int err) {
 }
 
 bool Kernel::OutOfSwapKill() {
-  Proc* victim = killer_.ChooseOomVictim();
+  Proc* victim = ChooseOomVictim();
   if (victim == nullptr) {
     return false;  // nothing killable would release memory
   }
@@ -351,7 +382,7 @@ bool Kernel::OutOfSwapKill() {
     machine_.tracer().Instant(sim::CostCat::kPageout, "oom_kill", machine_.clock().now(),
                               static_cast<std::uint64_t>(victim->pid));
   }
-  machine_.stats().oom_pages_reclaimed += killer_.Kill(victim);
+  machine_.stats().oom_pages_reclaimed += Kill(victim);
   return true;
 }
 
@@ -362,15 +393,53 @@ void Kernel::PoisonKill(Proc* p) {
     machine_.tracer().Instant(sim::CostCat::kPoison, "poison_kill", machine_.clock().now(),
                               static_cast<std::uint64_t>(p->pid));
   }
-  if (!killer_.CanKill(p)) {
+  if (!CanKill(p)) {
     // vfork-entangled: the space is borrowed (or borrowing) and cannot be
     // torn down from here. The error still surfaces to the caller; the
     // poisoned page stays unmapped, so every retry faults again.
     return;
   }
   ++machine_.stats().poison_kills;
-  machine_.stats().poison_pages_reclaimed += killer_.Kill(p);
+  machine_.stats().poison_pages_reclaimed += Kill(p);
   p->kill_err = sim::kErrMemPoison;
+}
+
+bool Kernel::CanKill(const Proc* p) const {
+  if (!p->alive || p->shares_as) {
+    return false;
+  }
+  // A vfork parent whose space is currently borrowed cannot be torn down.
+  return !std::any_of(procs_.begin(), procs_.end(), [&](const auto& kv) {
+    return kv.second->alive && kv.second->shares_as && kv.second->as == p->as;
+  });
+}
+
+Proc* Kernel::ChooseOomVictim() {
+  // The pid-ordered proc table makes the scan order (and so the tie-break)
+  // reproducible.
+  Proc* victim = nullptr;
+  std::size_t victim_rss = 0;
+  for (auto& [pid, proc] : procs_) {
+    Proc* q = proc.get();
+    if (!CanKill(q)) {
+      continue;
+    }
+    machine_.Charge(machine_.cost().oom_scan_ns);
+    std::size_t rss = vm_.AnonResidentPages(*q->as);
+    if (rss > victim_rss) {
+      victim = q;
+      victim_rss = rss;
+    }
+  }
+  return victim;  // nullptr: nothing killable would release memory
+}
+
+std::size_t Kernel::Kill(Proc* p) {
+  SIM_ASSERT(p->alive && !p->shares_as);
+  std::size_t free_before = pm_.free_pages();
+  TearDown(p);  // the zombie shell's table entry survives until Exit or ~Kernel
+  std::size_t free_after = pm_.free_pages();
+  return free_after > free_before ? free_after - free_before : 0;
 }
 
 int Kernel::ReadMem(Proc* p, sim::Vaddr va, std::span<std::byte> out) {

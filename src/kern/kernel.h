@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/vm/vm_iface.h"
-#include "src/kern/process_killer.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/machine.h"
 #include "src/swap/swap_device.h"
@@ -33,7 +32,7 @@ struct Proc {
   // tear it down on exit.
   bool shares_as = false;
   bool swapped_out = false;
-  // Cleared by Exit and by the out-of-swap killer. A killed process stays
+  // Cleared by Exit and by Kernel::Kill. A killed process stays
   // in the proc table as a zombie shell (as == nullptr) so callers holding
   // the Proc* can observe the kill instead of dereferencing freed memory.
   bool alive = true;
@@ -186,6 +185,34 @@ class Kernel {
   // whose only copy died with a poisoned frame. Kill the faulting process
   // if it can be torn down (a vfork-entangled process just gets the error).
   void PoisonKill(Proc* p);
+  // Out-of-swap victim choice: the live process with the largest anonymous
+  // resident set; strict comparison keeps the lowest pid on ties. Skips
+  // processes CanKill rejects. Charges oom_scan_ns per candidate examined.
+  // Returns nullptr when no killable process would release memory.
+  Proc* ChooseOomVictim();
+  // True when `p` can be torn down at all: alive, owns its address space,
+  // and no live vfork child is borrowing it.
+  bool CanKill(const Proc* p) const;
+  // Tear down the victim, leaving a zombie shell in the proc table
+  // (alive == false, as == nullptr) so callers holding the Proc* observe
+  // the kill. Returns the number of frames released to the free list; the
+  // caller attributes them and bumps its own kill counter.
+  std::size_t Kill(Proc* p);
+
+  // --- Process lifecycle ---
+  // Spawn/Fork/Vfork's common tail: a new Proc on `as` with its u-area.
+  // When the u-area cannot be had, `as` is destroyed unless it is borrowed.
+  Proc* NewProc(std::size_t cpu, AddressSpace* as, bool shares_as);
+  // Exit's and Kill's common teardown: transient wirings, the address
+  // space unless borrowed, swap-in if swapped out, then the u-area.
+  void TearDown(Proc* p);
+  // The u-area and kernel stack (§3.2): for each range the VM's record
+  // first (VmSystem::MapProcRange), then its frames, wired. On failure
+  // everything taken so far is given back.
+  int AllocProcResources(ProcKernelResources* res);
+  void FreeProcResources(ProcKernelResources& res);
+  // Swap-out (wired == false) or swap-in: the VM's record, then the frames.
+  void SetUareaWired(Proc* p, bool wired);
 
   sim::Machine& machine_;
   phys::PhysMem& pm_;
@@ -193,7 +220,6 @@ class Kernel {
   swp::SwapDevice& swap_;
   VmSystem& vm_;
   std::map<int, std::unique_ptr<Proc>> procs_;
-  ProcessKiller killer_{machine_, pm_, vm_, procs_};
   int next_pid_ = 1;
   bool oom_killer_enabled_ = false;
 

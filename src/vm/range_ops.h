@@ -1,20 +1,26 @@
 // The map and fault steps both VM systems take identically: the fault
-// entry and its final pmap enter, the unmap walk, and the mprotect,
-// minherit, madvise, mlock and munlock range walks. Each runs over either
-// VM's sim::AddrMap; the per-VM parts come in as callables: ref(entry)
-// takes the references a clip adds (amap + uobj for UVM, the object for
-// BSD VM), resolve(entry, va, write) is the VM's own fault resolution, and
-// take(entry) collects what an unmapped entry held. What the paper compares
+// entry and its final pmap enter, the unmap walk, the mprotect, minherit,
+// madvise, mlock and munlock range walks, the mincore lookup loop and the
+// msync / MADV_FREE overlap walk, plus device-frame teardown and the
+// poison-refetch count. Each walk runs over either VM's sim::AddrMap; the
+// per-VM parts come in as callables: ref(entry) takes the references a clip
+// adds (amap + uobj for UVM, the object for BSD VM), resolve(entry, va,
+// write) is the VM's own fault resolution, take(entry) collects what an
+// unmapped entry held, resident(entry, va) is its residency test and
+// visit(entry, lo, hi) its msync or MADV_FREE step. What the paper compares
 // stays with each VM: how a fault finds its page (amaps vs shadow chains,
-// §5), when unmap drops the references it took (§3.1), and where
-// *transient* wiring is recorded (§3.2).
+// §5), when unmap drops the references it took (§3.1), where *transient*
+// wiring is recorded (§3.2), and how msync clusters its writes (§6).
 #ifndef SRC_VM_RANGE_OPS_H_
 #define SRC_VM_RANGE_OPS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/mmu/pmap.h"
+#include "src/phys/page_store.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/assert.h"
 #include "src/sim/machine.h"
@@ -228,6 +234,65 @@ int UnwireRange(Map& map, mmu::Pmap& pmap, phys::PhysMem& pm, sim::Vaddr addr, s
         }
         return sim::kOk;
       });
+}
+
+// mincore(2): one charged lookup per page of [addr, addr+len) under the map
+// lock, and resident(entry, va) for each. A hole anywhere is kErrFault.
+template <typename Map, typename Resident>
+int MincoreRange(Map& map, sim::Vaddr addr, std::uint64_t len, std::vector<bool>* out,
+                 Resident&& resident) {
+  len = sim::PageRound(len);
+  out->clear();
+  map.Lock();
+  for (sim::Vaddr va = sim::PageTrunc(addr); va < addr + len; va += sim::kPageSize) {
+    auto it = map.LookupEntry(va);
+    if (it == map.entries().end()) {
+      map.Unlock();
+      return sim::kErrFault;
+    }
+    out->push_back(resident(*it, va));
+  }
+  map.Unlock();
+  return sim::kOk;
+}
+
+// Under the map lock, visit(entry, lo, hi) for every entry that overlaps
+// [addr, addr+len), with [lo, hi) the overlap. Clips nothing and charges
+// nothing: msync and MADV_FREE act on the pages, not on the entries.
+template <typename Map, typename Visit>
+void ForEachOverlap(Map& map, sim::Vaddr addr, std::uint64_t len, Visit&& visit) {
+  sim::Vaddr end = addr + sim::PageRound(len);
+  map.Lock();
+  for (auto& e : map.entries()) {
+    if (e.end > addr && e.start < end) {
+      visit(e, std::max(e.start, addr), std::min(e.end, end));
+    }
+  }
+  map.Unlock();
+}
+
+// VM teardown of a device's wired frames, taken from the VM's own device
+// object (the DeviceMem may already be gone: the kernel owns it).
+inline void FreeDeviceFrames(mmu::MmuContext& mmu, phys::PhysMem& pm, phys::PageStore& pages) {
+  while (!pages.empty()) {
+    phys::Page* p = pages.begin()->second;
+    pages.erase(p->offset);
+    mmu.PageProtect(p, sim::Prot::kNone);
+    pm.Unwire(p);
+    pm.Dequeue(p);
+    pm.FreePage(p);
+  }
+}
+
+// A fault discarded a clean poisoned page; its backing copy (swap slot,
+// vnode or zero fill) refetches it transparently. `what` names the trace
+// instant.
+inline void CountPoisonRefetch(sim::Machine& machine, const char* what, sim::Pfn pfn) {
+  ++machine.stats().poison_discards;
+  ++machine.stats().poison_refetches;
+  if (machine.tracer().enabled()) {
+    machine.tracer().Instant(sim::CostCat::kPoison, what, machine.clock().now(), pfn);
+  }
 }
 
 }  // namespace kern

@@ -87,12 +87,13 @@ struct TransientWiring {
 };
 
 // Per-process kernel-side VM resources: the u-area (user structure) and
-// kernel stack (§3.2). BSD VM allocates these as wired kernel-map entries
-// (two map entries per process); UVM wires the frames and records the wired
-// state in the proc structure, touching no map.
+// kernel stack (§3.2). kern::Kernel allocates and wires the frames under
+// both VMs, and UVM records their wired state here only, touching no map.
+// BSD VM also records each range as a wired kernel-map entry (two map
+// entries per process).
 struct ProcKernelResources {
   std::vector<std::pair<sim::Vaddr, std::uint64_t>> kernel_ranges;  // BSD VM only
-  std::vector<phys::Page*> wired_pages;                             // UVM only
+  std::vector<phys::Page*> wired_pages;
 };
 
 // A memory-mappable device (framebuffer / ROM style): a fixed set of wired
@@ -122,7 +123,11 @@ class VmSystem {
 
   // --- Address spaces ---
   virtual AddressSpace* CreateAddressSpace() = 0;
-  virtual void DestroyAddressSpace(AddressSpace* as) = 0;
+  // Unmap the whole user range, then free the space.
+  void DestroyAddressSpace(AddressSpace* as) {
+    Unmap(*as, kUserMin, kUserMax - kUserMin);
+    delete as;
+  }
   // Duplicate `parent` for a child process, honouring per-entry inheritance.
   virtual AddressSpace* Fork(AddressSpace& parent) = 0;
   virtual AddressSpace& kernel_as() = 0;
@@ -162,14 +167,19 @@ class VmSystem {
   virtual void UnwireTransient(AddressSpace& as, TransientWiring& tw) = 0;
 
   // --- Per-process kernel resources (u-area + kernel stack) ---
-  virtual int AllocProcResources(ProcKernelResources* out) = 0;
-  virtual void FreeProcResources(ProcKernelResources& res) = 0;
   // §3.2: "a process' user structure must be wired as long as the process
   // is runnable. When a process is swapped out its user structure is
-  // unwired until the process is swapped back in." The wired state lives
-  // in the proc structure under UVM, and in the kernel map under BSD VM.
-  virtual void SwapOutProcResources(ProcKernelResources& res) = 0;
-  virtual void SwapInProcResources(ProcKernelResources& res) = 0;
+  // unwired until the process is swapped back in." kern::Kernel allocates,
+  // wires, swaps and frees the frames; these hooks are where a VM keeps a
+  // record of its own. UVM keeps none (the wired state lives in the proc
+  // structure) and overrides none of them; BSD VM keeps a wired kernel-map
+  // entry per range. MapProcRange records a range of `npages` before its
+  // frames are allocated; the other two run before the frames are touched.
+  virtual int MapProcRange(std::size_t /*npages*/, ProcKernelResources* /*out*/) {
+    return sim::kOk;
+  }
+  virtual void SetProcRangesWired(ProcKernelResources& /*res*/, bool /*wired*/) {}
+  virtual void UnmapProcRanges(ProcKernelResources& /*res*/) {}
 
   // --- Faults ---
   virtual int Fault(AddressSpace& as, sim::Vaddr addr, sim::Access access) = 0;

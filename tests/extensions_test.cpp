@@ -107,6 +107,35 @@ TEST_P(MincoreTest, SeesThroughSwap) {
   }
 }
 
+// A private copy of a file page that was written and then paged out is
+// what the process sees, so mincore reports the page not resident, even
+// after a shared mapping brings the file's own page back in.
+TEST_P(MincoreTest, PrivateCopyOnSwapIsNotResident) {
+  WorldConfig cfg;
+  cfg.ram_pages = 64;
+  World w(GetParam(), cfg);
+  w.fs.CreateFilePattern("/f", 4 * sim::kPageSize);
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr priv = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->Mmap(p, &priv, 4 * sim::kPageSize, "/f", 0, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, priv, 1, std::byte{0x5a}));
+  w.vm->PageDaemon(w.pm.total_pages());  // everything out
+  sim::Vaddr shared = 0;
+  kern::MapAttrs sh;
+  sh.shared = true;
+  ASSERT_EQ(sim::kOk, w.kernel->Mmap(p, &shared, 4 * sim::kPageSize, "/f", 0, sh));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchRead(p, shared, 1));
+  std::vector<bool> vec;
+  ASSERT_EQ(sim::kOk, w.kernel->Mincore(p, shared, sim::kPageSize, &vec));
+  EXPECT_EQ(std::vector<bool>({true}), vec);
+  ASSERT_EQ(sim::kOk, w.kernel->Mincore(p, priv, sim::kPageSize, &vec));
+  EXPECT_EQ(std::vector<bool>({false}), vec) << "the private copy is on swap";
+  std::vector<std::byte> b(1);
+  ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, priv, b));
+  EXPECT_EQ(std::byte{0x5a}, b[0]);
+  w.CheckInvariants();
+}
+
 TEST_P(MincoreTest, UnmappedRangeFails) {
   World w(GetParam());
   kern::Proc* p = w.kernel->Spawn();

@@ -3,6 +3,8 @@
 // surfaced as an error here), and teardown with resources outstanding.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/harness/world.h"
 
 namespace {
@@ -119,6 +121,53 @@ TEST_P(FailureTest, KernelMapMidEntryUnmapNeedsTwoClipEntries) {
   ASSERT_EQ(sim::kOk, w.vm->Unmap(kas, big + sim::kPageSize, sim::kPageSize));
   EXPECT_EQ(denials + 1, w.machine.stats().map_entry_pool_denials);
   EXPECT_EQ(2u, w.vm->KernelMapEntries()) << "the front and back of the split entry";
+  w.CheckInvariants();
+}
+
+// Spawn until Spawn fails (at most `limit` processes), then exit them all.
+// Returns whether a Spawn failed.
+bool SpawnUntilRefusedThenExitAll(World& w, int limit) {
+  std::vector<kern::Proc*> procs;
+  bool refused = false;
+  while (!refused && static_cast<int>(procs.size()) < limit) {
+    kern::Proc* p = w.kernel->Spawn();
+    refused = p == nullptr;
+    if (p != nullptr) {
+      procs.push_back(p);
+    }
+  }
+  for (kern::Proc* p : procs) {
+    w.kernel->Exit(p);
+  }
+  return refused;
+}
+
+// A Spawn that cannot allocate its whole u-area gives back the frames it
+// already wired and, under BSD VM, the kernel-map entries it inserted.
+TEST_P(FailureTest, RefusedSpawnGivesBackTheFramesItTook) {
+  WorldConfig cfg;
+  cfg.ram_pages = 30;
+  World w(GetParam(), cfg);
+  const std::size_t free_before = w.pm.free_pages();
+  const std::size_t entries_before = w.vm->KernelMapEntries();
+  ASSERT_TRUE(SpawnUntilRefusedThenExitAll(w, 64));
+  EXPECT_EQ(free_before, w.pm.free_pages());
+  EXPECT_EQ(entries_before, w.vm->KernelMapEntries());
+  w.CheckInvariants();
+}
+
+TEST_P(FailureTest, RefusedSpawnGivesBackTheKernelMapEntriesItTook) {
+  WorldConfig cfg;
+  cfg.bsd.kernel_map_entries = 5;
+  cfg.uvm.kernel_map_entries = 5;
+  World w(GetParam(), cfg);
+  const std::size_t free_before = w.pm.free_pages();
+  const std::size_t entries_before = w.vm->KernelMapEntries();
+  // Two entries per process under BSD VM: the third Spawn gets its u-area
+  // entry but not its kernel-stack entry. UVM uses no kernel-map entry.
+  EXPECT_EQ(GetParam() == VmKind::kBsd, SpawnUntilRefusedThenExitAll(w, 8));
+  EXPECT_EQ(free_before, w.pm.free_pages());
+  EXPECT_EQ(entries_before, w.vm->KernelMapEntries());
   w.CheckInvariants();
 }
 

@@ -163,6 +163,26 @@ TEST_P(PoisonVmTest, DirtyAnonPoisonKillsTheToucher) {
   w.kernel->Exit(bystander);
 }
 
+// Killing a swapped-out process swaps its u-area back in before freeing
+// it: every frame comes back except the one the poison retired.
+TEST_P(PoisonVmTest, KilledWhileSwappedOutGivesBackItsUarea) {
+  World w(GetParam());
+  const std::size_t free_before = w.pm.free_pages();
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 1, std::byte{0x42}));
+  ASSERT_TRUE(w.pm.PoisonPfn(PfnAt(p, a)));
+  w.kernel->SwapOutProc(p);
+  EXPECT_EQ(sim::kErrMemPoison, w.kernel->TouchRead(p, a, 1));
+  EXPECT_FALSE(p->alive);
+  EXPECT_EQ(1u, w.machine.stats().poison_kills);
+  EXPECT_EQ(free_before - 1, w.pm.free_pages());
+  EXPECT_EQ(0u, w.vm->KernelMapEntries());
+  w.kernel->Exit(p);
+  EXPECT_EQ(0u, w.machine.auditor().Run());
+}
+
 TEST_P(PoisonVmTest, ZombieShellObservesTheKillOnEverySyscall) {
   World w(GetParam());
   kern::Proc* p = w.kernel->Spawn();
