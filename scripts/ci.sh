@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 CI: static analysis (simlint), build + full test suite, the same
-# under ASan and UBSan, then the host-time perf harness with its
-# BENCH_host.json checked against the committed baseline (deterministic
-# fields exact, speedups against floors; see scripts/diff_bench_host.py).
+# under ASan and UBSan, the virtual-time, fleet and chaos fingerprints, then
+# the host-time perf harness with its BENCH_host.json checked against the
+# committed baseline (deterministic fields exact, host timings in
+# reference-host units within +25%; see scripts/diff_bench_host.py).
 #
 # UVM_CI_SKIP_ASAN=1  skips the sanitizer passes (quick local iteration).
 # UVM_CI_FULL=1       forces full-tree simlint; the default lints the whole
@@ -89,70 +90,73 @@ python3 scripts/bench_virtual_json.py --bindir "$SOAK_BINDIR" \
   --audit 1 \
   --out build/BENCH_soak.json --expect BENCH_soak.json
 
+# Fleet and chaos double runs. Each run executes twice and its two stdouts
+# must be byte-identical; the ten double runs go in parallel as background
+# jobs, and every one is waited on. A run that fails or diverges names its
+# command: a panic's own `repro:` stderr line if there is one, otherwise the
+# command line (for bench_chaos, the scenario CLI is the repro payload).
+# Each run's stdout goes to build/TAG_a.txt and build/TAG_b.txt, its stderr
+# (host wall time, or a panic) to build/TAG_a_err.txt and build/TAG_b_err.txt.
+double_run() {
+  tag=$1
+  shift
+  for run in a b; do
+    if ! "$@" > "build/${tag}_${run}.txt" 2> "build/${tag}_${run}_err.txt"; then
+      echo "ci.sh: run '${tag}' (${run}) failed, stderr in build/${tag}_${run}_err.txt; repro:" >&2
+      grep '^repro: ' "build/${tag}_${run}_err.txt" >&2 || echo "ci.sh:   $*" >&2
+      return 1
+    fi
+  done
+  if ! cmp "build/${tag}_a.txt" "build/${tag}_b.txt"; then
+    echo "ci.sh: double run '${tag}' diverged; repro: $*" >&2
+    return 1
+  fi
+}
+double_run_pids=""
+double_run_bg() {
+  double_run "$@" &
+  double_run_pids="$double_run_pids $!"
+}
+
 # Server-fleet engine: a million kernel ops per VM (request bursts,
 # vnode-cache churn, fork/exec build storms) through the slab-backed
 # metadata layer. stdout is fully deterministic (host wall time goes to
-# stderr), so plain and pressure-soaked double runs are compared
-# byte-for-byte. The pressure plan shrinks physical memory until the fleet's
-# resident set no longer fits, forcing pageout/reclaim through the pools.
-./build/bench/bench_fleet > build/fleet_a.txt
-./build/bench/bench_fleet > build/fleet_b.txt
-cmp build/fleet_a.txt build/fleet_b.txt
-./build/bench/bench_fleet --pressure='@1ms phys-=7600; @30s phys+=2000' \
-  > build/fleet_pressure_a.txt
-./build/bench/bench_fleet --pressure='@1ms phys-=7600; @30s phys+=2000' \
-  > build/fleet_pressure_b.txt
-cmp build/fleet_pressure_a.txt build/fleet_pressure_b.txt
+# stderr), plain and pressure-soaked. The pressure plan shrinks physical
+# memory until the fleet's resident set no longer fits, forcing
+# pageout/reclaim through the pools.
+FLEET_PRESSURE='--pressure=@1ms phys-=7600; @30s phys+=2000'
+double_run_bg fleet ./build/bench/bench_fleet
+double_run_bg fleet_pressure ./build/bench/bench_fleet "$FLEET_PRESSURE"
 
 # Deterministic SMP (DESIGN.md §16): the same fleet across 4 virtual CPUs,
 # with the per-lock contention table on stdout. Multi-CPU worlds must be
-# exactly as byte-reproducible as single-CPU ones — plain and
-# pressure-soaked double runs are compared byte-for-byte.
-./build/bench/bench_fleet --cpus=4 --locks > build/fleet_smp_a.txt
-./build/bench/bench_fleet --cpus=4 --locks > build/fleet_smp_b.txt
-cmp build/fleet_smp_a.txt build/fleet_smp_b.txt
-./build/bench/bench_fleet --cpus=4 --locks \
-  --pressure='@1ms phys-=7600; @30s phys+=2000' > build/fleet_smp_pressure_a.txt
-./build/bench/bench_fleet --cpus=4 --locks \
-  --pressure='@1ms phys-=7600; @30s phys+=2000' > build/fleet_smp_pressure_b.txt
-cmp build/fleet_smp_pressure_a.txt build/fleet_smp_pressure_b.txt
+# exactly as byte-reproducible as single-CPU ones, plain and
+# pressure-soaked.
+double_run_bg fleet_smp ./build/bench/bench_fleet --cpus=4 --locks
+double_run_bg fleet_smp_pressure ./build/bench/bench_fleet --cpus=4 --locks "$FLEET_PRESSURE"
 
 # Chaos engine (DESIGN.md §17): the fleet under a composed fault storm with
 # a fuzzed schedule, on a fixed op budget, once per schedule strategy. Every
 # armed run must be exactly as byte-reproducible as the happy path — the
-# double-run compare is the whole point of deterministic chaos. On failure
-# the repro string is printed: a panic's own `repro:` stderr line if there
-# is one, otherwise the scenario CLI (which is the repro payload).
-chaos_run() {
-  tag=$1
-  shift
-  if ! ./build/bench/bench_chaos "$@" \
-      > "build/chaos_${tag}_a.txt" 2> "build/chaos_${tag}_err.txt"; then
-    echo "ci.sh: chaos run '${tag}' failed; repro:" >&2
-    grep '^repro: ' "build/chaos_${tag}_err.txt" >&2 \
-      || echo "ci.sh:   bench_chaos $*" >&2
-    return 1
-  fi
-  if ! ./build/bench/bench_chaos "$@" \
-      > "build/chaos_${tag}_b.txt" 2> /dev/null; then
-    echo "ci.sh: chaos rerun '${tag}' failed; repro: bench_chaos $*" >&2
-    return 1
-  fi
-  if ! cmp "build/chaos_${tag}_a.txt" "build/chaos_${tag}_b.txt"; then
-    echo "ci.sh: chaos double-run '${tag}' diverged; repro: bench_chaos $*" >&2
-    return 1
-  fi
-}
+# double-run compare is the whole point of deterministic chaos.
 for sched in rr random:3 burst:5 pct3:7 pb16; do
-  chaos_run "$(echo "$sched" | tr : _)" --ops=60000 --cpus=4 --shared --sched="$sched"
+  double_run_bg "chaos_$(echo "$sched" | tr : _)" \
+    ./build/bench/bench_chaos --ops=60000 --cpus=4 --shared --sched="$sched"
 done
 
 # The plan shrinker, subprocess-free: a synthetic failure predicate the
 # shrinker must reduce to its minimal scenario, deterministically enough to
 # byte-compare, ending in a well-formed repro string.
-./build/bench/bench_chaos --shrink-demo > build/chaos_shrink_a.txt
-./build/bench/bench_chaos --shrink-demo > build/chaos_shrink_b.txt
-cmp build/chaos_shrink_a.txt build/chaos_shrink_b.txt
+double_run_bg chaos_shrink ./build/bench/bench_chaos --shrink-demo
+
+double_run_failed=0
+for pid in $double_run_pids; do
+  wait "$pid" || double_run_failed=1
+done
+if [ "$double_run_failed" != 0 ]; then
+  echo "ci.sh: a fleet/chaos double run failed (see above)" >&2
+  exit 1
+fi
 grep -q '^repro: uvmchaos/v1|' build/chaos_shrink_a.txt
 
 # "Same bytes" for every fleet and chaos run above: each first run's stdout
@@ -183,7 +187,10 @@ for bad in "--pressure=@1ms warp" "--memfault=@1ms poison wat" \
 done
 
 # Host-perf gate: deterministic fields must match the committed baseline
-# exactly, micro speedups must clear their floors, and host timings must
-# stay within the regression tolerance (UVM_HOST_TOLERANCE, default +25%).
-./build/bench/bench_host_perf --quick --out build/BENCH_host.json
+# exactly, and every micro and workload timing must stay within +25% of its
+# committed value. Timings are in reference-host units (each item's median
+# of five runs over the host slowdown measured during the same run), so a
+# slow or drifting host does not move them; re-record BENCH_host.json with
+# this command when an intended change moves one, and say why in CHANGES.md.
+./build/bench/bench_host_perf --out build/BENCH_host.json
 python3 scripts/diff_bench_host.py BENCH_host.json build/BENCH_host.json

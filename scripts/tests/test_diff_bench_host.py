@@ -4,9 +4,10 @@
 Demonstrates the host-perf regression gate end-to-end without running the
 bench binary: a synthetic baseline is compared against (a) an identical
 current run (must pass), (b) a run whose host timings are inflated past
-the 25% tolerance (must fail and name the regressed fields), (c) a run
-with a mutated deterministic counter (must fail), and (d) a run whose
-micro speedup slipped below its floor (must fail). Run by ci.sh.
+the 25% tolerance (must fail and name the regressed fields), (b') a run
+slipping inside the tolerance (must pass), (c) a run with a mutated
+deterministic counter (must fail), and (d) a run missing a micro the
+baseline times (must fail and name it). Run by ci.sh.
 """
 
 import copy
@@ -31,35 +32,26 @@ BASELINE = {
         },
     },
     "micro": {
-        "map_lookup_1000": {"new_ns_per_op": 160.0, "legacy_ns_per_op": 1300.0,
-                            "speedup": 8.1},
-        "map_mutate_1000": {"new_ns_per_op": 480.0, "legacy_ns_per_op": 3500.0,
-                            "speedup": 7.3},
-        "pagestore_lookup_64k": {"new_ns_per_op": 52.0, "legacy_ns_per_op": 570.0,
-                                 "speedup": 11.0},
-        "pv_churn": {"new_ns_per_op": 58.0, "legacy_ns_per_op": 136.0, "speedup": 2.3},
-        "pool_anon_churn": {"new_ns_per_op": 5.4, "legacy_ns_per_op": 17.0,
-                            "speedup": 3.1},
-        "pool_object_churn": {"new_ns_per_op": 8.0, "legacy_ns_per_op": 35.0,
-                              "speedup": 4.4},
-        "pagestore_churn": {"new_ns_per_op": 122.0, "legacy_ns_per_op": 226.0,
-                            "speedup": 1.85},
+        "map_lookup_1000": {"ns_per_op": 160.0},
+        "map_mutate_1000": {"ns_per_op": 480.0},
+        "pagestore_lookup_64k": {"ns_per_op": 52.0},
+        "pv_churn": {"ns_per_op": 58.0},
+        "pool_anon_churn": {"ns_per_op": 5.4},
+        "pool_object_churn": {"ns_per_op": 8.0},
+        "pagestore_churn": {"ns_per_op": 122.0},
     },
 }
 
 
-def run_diff(tmp, baseline, current, env_extra=None):
+def run_diff(tmp, baseline, current):
     bpath = os.path.join(tmp, "baseline.json")
     cpath = os.path.join(tmp, "current.json")
     with open(bpath, "w") as f:
         json.dump(baseline, f)
     with open(cpath, "w") as f:
         json.dump(current, f)
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, DIFF, bpath, cpath],
-                         capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def expect(cond, label, proc):
@@ -78,22 +70,18 @@ def main():
         expect(p.returncode == 0, "identical run passes", p)
 
         # (b) host times inflated by 2x: gate must fire on both a workload
-        # wall time and a pooled micro cost, naming them.
+        # wall time and a micro cost, naming them.
         slow = copy.deepcopy(BASELINE)
         slow["workloads"]["uvm"]["map_heavy"]["host_ms"] = 80.0
-        slow["micro"]["map_lookup_1000"]["new_ns_per_op"] = 320.0
+        slow["micro"]["map_lookup_1000"]["ns_per_op"] = 320.0
         p = run_diff(tmp, BASELINE, slow)
         expect(p.returncode == 1, "2x host regression fails", p)
         expect("host regression workloads.uvm.map_heavy.host_ms" in p.stdout,
                "regressed workload named", p)
-        expect("host regression micro.map_lookup_1000.new_ns_per_op" in p.stdout,
+        expect("host regression micro.map_lookup_1000.ns_per_op" in p.stdout,
                "regressed micro named", p)
 
-        # (b') the same doctored run passes when the tolerance is disabled.
-        p = run_diff(tmp, BASELINE, slow, {"UVM_HOST_TOLERANCE": "inf"})
-        expect(p.returncode == 0, "UVM_HOST_TOLERANCE=inf disables the gate", p)
-
-        # (b'') a slip inside the tolerance band passes (+10% < +25%).
+        # (b') a slip inside the tolerance band passes (+10% < +25%).
         mild = copy.deepcopy(BASELINE)
         mild["workloads"]["uvm"]["map_heavy"]["host_ms"] = 44.0
         p = run_diff(tmp, BASELINE, mild)
@@ -107,12 +95,13 @@ def main():
         expect("workloads.uvm.map_heavy.vtime_ns" in p.stdout,
                "drifted field named", p)
 
-        # (d) a speedup below its floor is fatal even with the host gate off.
-        slowdown = copy.deepcopy(BASELINE)
-        slowdown["micro"]["pv_churn"]["speedup"] = 1.1
-        p = run_diff(tmp, BASELINE, slowdown, {"UVM_HOST_TOLERANCE": "inf"})
-        expect(p.returncode == 1, "speedup below floor fails", p)
-        expect("micro.pv_churn.speedup" in p.stdout, "slow micro named", p)
+        # (d) a micro the baseline times but the current run lacks is fatal:
+        # otherwise deleting a micro would silently stop gating it.
+        missing = copy.deepcopy(BASELINE)
+        del missing["micro"]["pv_churn"]
+        p = run_diff(tmp, BASELINE, missing)
+        expect(p.returncode == 1, "missing micro fails", p)
+        expect("micro.pv_churn.ns_per_op" in p.stdout, "missing micro named", p)
 
     print("test_diff_bench_host: all cases passed")
 

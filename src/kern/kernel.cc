@@ -711,7 +711,7 @@ int Kernel::ShmRemove(int shmid) {
 std::size_t Kernel::TotalMapEntries() const {
   std::size_t total = vm_.KernelMapEntries();
   for (const auto& [pid, proc] : procs_) {
-    if (proc->alive) {
+    if (proc->alive && !proc->shares_as) {  // a vfork child's map is its parent's
       total += proc->as->EntryCount();
     }
   }

@@ -138,7 +138,8 @@ class Kernel {
 
   // --- Introspection ---
   // Total allocated map entries: every process map plus the kernel map
-  // (the Table 1 metric).
+  // (the Table 1 metric). A vfork child's borrowed map counts once, as its
+  // parent's.
   std::size_t TotalMapEntries() const;
   // Visit every live process (ordered by pid); zombie shells left behind
   // by the out-of-swap killer are skipped.

@@ -97,6 +97,19 @@ TEST_P(KernelTest, TotalMapEntriesCountsKernelAndProcs) {
   EXPECT_EQ(base + 3 + 1 + uarea, w.kernel->TotalMapEntries());
 }
 
+TEST_P(KernelTest, TotalMapEntriesCountsVforkChildsBorrowedMapOnce) {
+  std::size_t base = w.kernel->TotalMapEntries();
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, sim::kPageSize, kern::MapAttrs{}));
+  std::size_t uarea = GetParam() == VmKind::kBsd ? 2 : 0;
+  EXPECT_EQ(base + 1 + uarea, w.kernel->TotalMapEntries());
+  // The child adds its own u-area (BSD VM's kernel-map entries), not a
+  // second copy of the parent's one entry.
+  ASSERT_NE(nullptr, w.kernel->Vfork(p));
+  EXPECT_EQ(base + 1 + 2 * uarea, w.kernel->TotalMapEntries());
+}
+
 TEST_P(KernelTest, ExitReleasesTransientWiringsLeftByBugs) {
   // Even if a "driver" forgot to unwire (we inject one), exit cleans up.
   kern::Proc* p = w.kernel->Spawn();

@@ -1,9 +1,18 @@
 // Unit tests for the physical memory layer: frame allocation, page queues,
-// wiring, contents, and the cost/stat accounting other layers rely on.
+// wiring, contents, the cost/stat accounting other layers rely on, and the
+// radix page store behind both VMs' object page lists.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "src/phys/page_store.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/machine.h"
+#include "src/sim/rng.h"
 
 namespace {
 
@@ -219,6 +228,121 @@ TEST_F(PhysTest, DistinctFramesHaveDistinctStorage) {
   EXPECT_EQ(std::byte{0}, pm.Data(b)[10]);
   pm.FreePage(a);
   pm.FreePage(b);
+}
+
+// --- PageStore against std::map, the structure it replaced ---
+
+enum class Bind { kNever, kFirst, kLate };
+
+// A seeded random mix of every PageStore mutation and lookup, each run on a
+// std::map as well; size and ascending iteration must agree after every op.
+// Half the keys sit at and around 2 MB chunk boundaries or far out (a chunk
+// each); the other half fall in one dense chunk filled up front, which stays
+// about half full and so is never freed. `bind` says when the store starts
+// taking chunks from a pool: never, before the first op, or halfway through,
+// when the dense chunk and others already came from the heap.
+void CheckPageStoreAgainstMap(Bind bind) {
+  constexpr std::uint64_t kChunk = phys::PageStore::kChunkPages;
+  constexpr std::uint64_t kDense = 5 * kChunk;
+  constexpr std::size_t kOps = 4000;
+  std::vector<std::uint64_t> edges = {0, 1, (1ull << 20) + 3, (1ull << 32) + 7, (1ull << 51) - 1};
+  for (std::uint64_t c = 1; c <= 4; ++c) {
+    for (std::uint64_t k = c * kChunk - 2; k <= c * kChunk + 1; ++k) {
+      edges.push_back(k);  // 510, 511, 512, 513, 1022, ...
+    }
+  }
+  std::array<phys::Page, 3> pages{};
+  sim::Rng rng(23);
+  sim::PoolResource pool("test.pagestore");
+  {
+    using Ref = std::map<std::uint64_t, phys::Page*>;
+    using Entries = std::vector<std::pair<std::uint64_t, phys::Page*>>;
+    phys::PageStore store;
+    Ref ref;
+    auto same = [&](phys::PageStore::const_iterator it, Ref::const_iterator want) {
+      if (want == ref.end()) {
+        return it == store.end();
+      }
+      return it != store.end() && it->first == want->first && it->second == want->second;
+    };
+    if (bind == Bind::kFirst) {
+      store.BindPool(&pool);
+    }
+    for (std::uint64_t k = kDense; k < kDense + kChunk; ++k) {
+      store.emplace(k, &pages[0]);
+      ref.emplace(k, &pages[0]);
+    }
+    for (std::size_t op = 0; op < kOps; ++op) {
+      if (bind == Bind::kLate && op == kOps / 2) {
+        store.BindPool(&pool);
+      }
+      const std::uint64_t key =
+          rng.Chance(1, 2) ? edges[rng.Below(edges.size())] : kDense + rng.Below(kChunk);
+      phys::Page* page = &pages[rng.Below(pages.size())];
+      const Ref::const_iterator at = ref.find(key);
+      switch (rng.Below(7)) {
+        case 0:
+          if (at == ref.end()) {
+            store.emplace(key, page);
+            ref.emplace(key, page);
+          }
+          break;
+        case 1:
+          store.Put(key, page);
+          ref[key] = page;
+          break;
+        case 2:
+          ASSERT_EQ(ref.erase(key), store.erase(key)) << "op " << op;
+          break;
+        case 3:
+          if (at != ref.end()) {
+            ASSERT_TRUE(same(store.erase(store.find(key)), ref.erase(at))) << "op " << op;
+          }
+          break;
+        case 4:
+          ASSERT_EQ(at == ref.end() ? nullptr : at->second, store.Lookup(key)) << "op " << op;
+          break;
+        case 5:
+          ASSERT_TRUE(same(store.find(key), at)) << "op " << op;
+          break;
+        default:
+          ASSERT_TRUE(same(store.lower_bound(key), ref.lower_bound(key))) << "op " << op;
+          break;
+      }
+      ASSERT_EQ(ref.size(), store.size()) << "op " << op;
+      Entries got;
+      for (const auto& kv : store) {
+        got.push_back(kv);
+      }
+      ASSERT_EQ(Entries(ref.begin(), ref.end()), got) << "op " << op;
+    }
+    std::set<std::uint64_t> chunks;
+    for (const auto& [key, page] : ref) {
+      chunks.insert(key >> phys::PageStore::kChunkShift);
+    }
+    const std::uint64_t live = pool.stats().live;
+    switch (bind) {
+      case Bind::kNever:
+        EXPECT_EQ(0u, pool.stats().allocs);
+        break;
+      case Bind::kFirst:
+        EXPECT_EQ(chunks.size(), live);
+        break;
+      case Bind::kLate:  // both origins live at teardown
+        EXPECT_GT(live, 0u);
+        EXPECT_LT(live, chunks.size());
+        break;
+    }
+  }
+  EXPECT_EQ(0u, pool.stats().live);  // every pooled chunk went back to the pool
+}
+
+TEST(PageStoreTest, MatchesStdMapUnpooled) { CheckPageStoreAgainstMap(Bind::kNever); }
+
+TEST(PageStoreTest, MatchesStdMapPooled) { CheckPageStoreAgainstMap(Bind::kFirst); }
+
+TEST(PageStoreTest, MatchesStdMapWithPoolBoundAfterChunksExist) {
+  CheckPageStoreAgainstMap(Bind::kLate);
 }
 
 }  // namespace
