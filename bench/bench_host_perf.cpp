@@ -348,6 +348,13 @@ double MicroPageStoreChurn() {
 // Whole-simulator workloads
 // ---------------------------------------------------------------------------
 
+// Each workload is sized to take at least 8 ms on the reference host on
+// both VMs: below that, diff_bench_host.py's 2 ms floor, not its 25%
+// tolerance, would bound a slowdown. map_heavy and fault_heavy repeat their
+// whole shape kRounds times rather than one phase of it, so the mix of work
+// they time is that of one round.
+constexpr int kRounds = 3;
+
 // What a workload run leaves that does not depend on the host.
 struct Counters {
   std::uint64_t vtime_ns = 0;
@@ -372,8 +379,8 @@ WorkloadRun Finish(const World& w, Clock::time_point t0, Clock::time_point t1) {
 }
 
 // Many small mappings, lookup-dominated: mmap a few hundred scattered anon
-// regions, then hammer them with single-page touches in a seeded random
-// order (every touch is a map lookup plus a fault or pmap hit).
+// regions, hammer them with single-page touches in a seeded random order
+// (every touch is a map lookup plus a fault or pmap hit), unmap them.
 WorkloadRun RunMapHeavy(VmKind kind) {
   constexpr std::size_t kRegions = 400;
   constexpr std::size_t kTouches = 20000;
@@ -381,45 +388,51 @@ WorkloadRun RunMapHeavy(VmKind kind) {
   kern::Proc* p = w.kernel->Spawn();
   kern::MapAttrs attrs;
   std::vector<sim::Vaddr> bases(kRegions);
-  auto t0 = Clock::now();
-  for (std::size_t i = 0; i < kRegions; ++i) {
-    sim::Vaddr va = 0x40000000 + i * 8 * sim::kPageSize;  // 4 pages + 4-page hole
-    int err = w.kernel->MmapAnon(p, &va, 4 * sim::kPageSize, attrs);
-    SIM_ASSERT(err == sim::kOk);
-    bases[i] = va;
-  }
   Rng rng(1234);
-  for (std::size_t i = 0; i < kTouches; ++i) {
-    sim::Vaddr va = bases[rng.Next() % kRegions] + (rng.Next() % 4) * sim::kPageSize;
-    int err = w.kernel->TouchWrite(p, va, 1, std::byte{0xaa});
-    SIM_ASSERT(err == sim::kOk);
-  }
-  for (std::size_t i = 0; i < kRegions; ++i) {
-    (void)w.kernel->Munmap(p, bases[i], 4 * sim::kPageSize);
+  auto t0 = Clock::now();
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < kRegions; ++i) {
+      sim::Vaddr va = 0x40000000 + i * 8 * sim::kPageSize;  // 4 pages + 4-page hole
+      int err = w.kernel->MmapAnon(p, &va, 4 * sim::kPageSize, attrs);
+      SIM_ASSERT(err == sim::kOk);
+      bases[i] = va;
+    }
+    for (std::size_t i = 0; i < kTouches; ++i) {
+      sim::Vaddr va = bases[rng.Next() % kRegions] + (rng.Next() % 4) * sim::kPageSize;
+      int err = w.kernel->TouchWrite(p, va, 1, std::byte{0xaa});
+      SIM_ASSERT(err == sim::kOk);
+    }
+    for (std::size_t i = 0; i < kRegions; ++i) {
+      (void)w.kernel->Munmap(p, bases[i], 4 * sim::kPageSize);
+    }
   }
   auto t1 = Clock::now();
   return Finish(w, t0, t1);
 }
 
 // One large region, fault-dominated: zero-fill every page, read it back
-// (soft path through the pmap), then a seeded random re-read pass.
+// (soft path through the pmap), a seeded random re-read pass, unmap.
 WorkloadRun RunFaultHeavy(VmKind kind) {
   constexpr std::uint64_t kPages = 4096;  // 16 MB, fits in the 32 MB world
   World w(kind);
   kern::Proc* p = w.kernel->Spawn();
   kern::MapAttrs attrs;
-  sim::Vaddr base = 0x40000000;
-  auto t0 = Clock::now();
-  int err = w.kernel->MmapAnon(p, &base, kPages * sim::kPageSize, attrs);
-  SIM_ASSERT(err == sim::kOk);
-  err = w.kernel->TouchWrite(p, base, kPages * sim::kPageSize, std::byte{0x5a});
-  SIM_ASSERT(err == sim::kOk);
-  err = w.kernel->TouchRead(p, base, kPages * sim::kPageSize);
-  SIM_ASSERT(err == sim::kOk);
   Rng rng(777);
-  for (std::uint64_t i = 0; i < kPages; ++i) {
-    sim::Vaddr va = base + (rng.Next() % kPages) * sim::kPageSize;
-    err = w.kernel->TouchRead(p, va, 1);
+  auto t0 = Clock::now();
+  for (int r = 0; r < kRounds; ++r) {
+    sim::Vaddr base = 0x40000000;
+    int err = w.kernel->MmapAnon(p, &base, kPages * sim::kPageSize, attrs);
+    SIM_ASSERT(err == sim::kOk);
+    err = w.kernel->TouchWrite(p, base, kPages * sim::kPageSize, std::byte{0x5a});
+    SIM_ASSERT(err == sim::kOk);
+    err = w.kernel->TouchRead(p, base, kPages * sim::kPageSize);
+    SIM_ASSERT(err == sim::kOk);
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+      sim::Vaddr va = base + (rng.Next() % kPages) * sim::kPageSize;
+      err = w.kernel->TouchRead(p, va, 1);
+      SIM_ASSERT(err == sim::kOk);
+    }
+    err = w.kernel->Munmap(p, base, kPages * sim::kPageSize);
     SIM_ASSERT(err == sim::kOk);
   }
   auto t1 = Clock::now();
@@ -430,7 +443,7 @@ WorkloadRun RunFaultHeavy(VmKind kind) {
 // shape long-running integrity soaks take; exercises map mutation, fork
 // copying, pmap teardown, and object teardown together.
 WorkloadRun RunSoak(VmKind kind) {
-  constexpr int kCycles = 12;
+  constexpr int kCycles = 80;
   World w(kind);
   auto t0 = Clock::now();
   for (int c = 0; c < kCycles; ++c) {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 CI: static analysis (simlint), build + full test suite, the same
-# under ASan and UBSan, the virtual-time, fleet and chaos fingerprints, then
-# the host-time perf harness with its BENCH_host.json checked against the
-# committed baseline (deterministic fields exact, host timings in
-# reference-host units within +25%; see scripts/diff_bench_host.py).
+# under ASan and UBSan, the virtual-time, fleet, chaos and example
+# fingerprints, then the host-time perf harness with its BENCH_host.json
+# checked against the committed baseline (deterministic fields exact, host
+# timings in reference-host units within +25%; see
+# scripts/diff_bench_host.py).
 #
 # UVM_CI_SKIP_ASAN=1  skips the sanitizer passes (quick local iteration).
 # UVM_CI_FULL=1       forces full-tree simlint; the default lints the whole
@@ -90,11 +91,12 @@ python3 scripts/bench_virtual_json.py --bindir "$SOAK_BINDIR" \
   --audit 1 \
   --out build/BENCH_soak.json --expect BENCH_soak.json
 
-# Fleet and chaos double runs. Each run executes twice and its two stdouts
-# must be byte-identical; the ten double runs go in parallel as background
-# jobs, and every one is waited on. A run that fails or diverges names its
-# command: a panic's own `repro:` stderr line if there is one, otherwise the
-# command line (for bench_chaos, the scenario CLI is the repro payload).
+# Fleet, chaos and example double runs. Each run executes twice and its two
+# stdouts must be byte-identical; the fifteen double runs go in parallel as
+# background jobs, and every one is waited on. A run that fails or diverges
+# names its command: a panic's own `repro:` stderr line if there is one,
+# otherwise the command line (for bench_chaos, the scenario CLI is the
+# repro payload).
 # Each run's stdout goes to build/TAG_a.txt and build/TAG_b.txt, its stderr
 # (host wall time, or a panic) to build/TAG_a_err.txt and build/TAG_b_err.txt.
 double_run() {
@@ -149,22 +151,28 @@ done
 # byte-compare, ending in a well-formed repro string.
 double_run_bg chaos_shrink ./build/bench/bench_chaos --shrink-demo
 
+# The five examples with their default arguments (trace_replay runs its
+# built-in demo trace): their stdout is as deterministic as a bench's.
+for example in quickstart fork_farm zero_copy_pipeline webserver trace_replay; do
+  double_run_bg "example_${example}" "./build/examples/${example}"
+done
+
 double_run_failed=0
 for pid in $double_run_pids; do
   wait "$pid" || double_run_failed=1
 done
 if [ "$double_run_failed" != 0 ]; then
-  echo "ci.sh: a fleet/chaos double run failed (see above)" >&2
+  echo "ci.sh: a fleet/chaos/example double run failed (see above)" >&2
   exit 1
 fi
 grep -q '^repro: uvmchaos/v1|' build/chaos_shrink_a.txt
 
-# "Same bytes" for every fleet and chaos run above: each first run's stdout
-# must hash to its committed value. sha256sum prints a FAILED line naming
-# each run whose output moved; a change that moves one must update
-# BENCH_fleet_chaos.sha256 and say why in CHANGES.md.
+# "Same bytes" for every fleet, chaos and example run above: each first
+# run's stdout must hash to its committed value. sha256sum prints a FAILED
+# line naming each run whose output moved; a change that moves one must
+# update BENCH_fleet_chaos.sha256 and say why in CHANGES.md.
 if ! sha256sum -c --quiet BENCH_fleet_chaos.sha256; then
-  echo "ci.sh: fleet/chaos stdout moved from BENCH_fleet_chaos.sha256 (see FAILED above)" >&2
+  echo "ci.sh: fleet/chaos/example stdout moved from BENCH_fleet_chaos.sha256 (see FAILED above)" >&2
   exit 1
 fi
 

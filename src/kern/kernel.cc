@@ -627,10 +627,7 @@ kern::DeviceMem* Kernel::RegisterDevice(const std::string& name, std::size_t npa
     SIM_POOL_FATAL_OK("boot-time device registration precedes any pressure plan");
     SIM_ASSERT_MSG(p != nullptr, "out of memory registering device");
     pm_.Wire(p);
-    auto data = pm_.Data(p);
-    for (std::size_t b = 0; b < sim::kPageSize; ++b) {
-      data[b] = vfs::Filesystem::PatternByte(name, i * sim::kPageSize + b);
-    }
+    vfs::Filesystem::FillPattern(name, i * sim::kPageSize, pm_.Data(p));
     dev->pages.push_back(p);
   }
   DeviceMem* raw = dev.get();

@@ -43,7 +43,7 @@ PhysMem::PhysMem(sim::Machine& machine, std::size_t num_pages)
     : machine_(machine),
       queue_lock_(machine, "phys.pagequeue", sim::LockRank::kPageQueue),
       pages_(num_pages),
-      bytes_(num_pages * sim::kPageSize) {
+      bytes_(num_pages, sim::HostPages::Residency::kPopulated) {
   for (std::size_t i = 0; i < num_pages; ++i) {
     pages_[i].pfn = static_cast<sim::Pfn>(i);
     pages_[i].queue = PageQueue::kFree;
@@ -232,24 +232,20 @@ bool PhysMem::FrameIsCurrent(const sim::LockToken& token, const Page* p,
   return p->gen == gen;
 }
 
-std::span<std::byte, sim::kPageSize> PhysMem::Data(Page* p) {
-  return std::span<std::byte, sim::kPageSize>(&bytes_[p->pfn * sim::kPageSize], sim::kPageSize);
-}
+std::span<std::byte, sim::kPageSize> PhysMem::Data(Page* p) { return bytes_.Page(p->pfn); }
 
 std::span<const std::byte, sim::kPageSize> PhysMem::Data(const Page* p) const {
-  return std::span<const std::byte, sim::kPageSize>(&bytes_[p->pfn * sim::kPageSize],
-                                                    sim::kPageSize);
+  return bytes_.Page(p->pfn);
 }
 
 void PhysMem::CopyPage(const Page* src, Page* dst) {
-  std::memcpy(&bytes_[dst->pfn * sim::kPageSize], &bytes_[src->pfn * sim::kPageSize],
-              sim::kPageSize);
+  std::memcpy(bytes_.Page(dst->pfn).data(), bytes_.Page(src->pfn).data(), sim::kPageSize);
   machine_.Charge(sim::CostCat::kCopy, machine_.cost().page_copy_ns);
   ++machine_.stats().pages_copied;
 }
 
 void PhysMem::ZeroPage(Page* p) {
-  std::memset(&bytes_[p->pfn * sim::kPageSize], 0, sim::kPageSize);
+  std::memset(bytes_.Page(p->pfn).data(), 0, sim::kPageSize);
   machine_.Charge(sim::CostCat::kCopy, machine_.cost().page_zero_ns);
   ++machine_.stats().pages_zeroed;
 }

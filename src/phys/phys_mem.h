@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/phys/page.h"
+#include "src/sim/host_pages.h"
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
 #include "src/sim/pressure.h"
@@ -189,7 +190,8 @@ class PhysMem {
   // every bench byte (DESIGN.md §15).
   sim::SimLock queue_lock_;
   std::vector<Page> pages_;
-  std::vector<std::byte> bytes_;
+  // Frame contents, populated at construction (sim/host_pages.h).
+  sim::HostPages bytes_;
   PageList free_;
   PageList active_;
   PageList inactive_;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/sim/assert.h"
+#include "src/sim/host_pages.h"
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
 #include "src/sim/types.h"
@@ -37,7 +38,7 @@ class SwapDevice {
         num_slots_(num_slots),
         used_((num_slots + kWordBits - 1) / kWordBits),
         bad_((num_slots + kWordBits - 1) / kWordBits),
-        bytes_(num_slots * sim::kPageSize) {
+        bytes_(num_slots, sim::HostPages::Residency::kLazy) {
     machine.pressure().RegisterActuator(
         sim::PressureResource::kSwapSlots,
         [this](const sim::PressureEvent& ev) {
@@ -123,7 +124,7 @@ class SwapDevice {
   }
 
   std::byte* SlotData(std::int32_t slot) {
-    return &bytes_[static_cast<std::size_t>(slot) * sim::kPageSize];
+    return bytes_.Page(static_cast<std::size_t>(slot)).data();
   }
   // First fit over [from, to), 64 slots per step: claims and returns the
   // first slot of the leftmost run of `want` free slots lying wholly inside
@@ -147,7 +148,9 @@ class SwapDevice {
   // One bit per slot, 64 slots a word; bits past num_slots_ stay clear.
   std::vector<std::uint64_t> used_;
   std::vector<std::uint64_t> bad_;
-  std::vector<std::byte> bytes_;
+  // Slot contents, lazily zero-filled: a slot's host page exists only
+  // after its first write (sim/host_pages.h).
+  sim::HostPages bytes_;
   std::size_t used_count_ = 0;
   std::size_t bad_count_ = 0;
   std::size_t next_hint_ = 0;

@@ -9,16 +9,22 @@ void Filesystem::CreateFile(const std::string& name, std::vector<std::byte> cont
   files_[name] = std::move(contents);
 }
 
+void Filesystem::FillPattern(const std::string& name, std::size_t off, std::span<std::byte> out) {
+  const std::size_t h = std::hash<std::string>{}(name) * 31;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>((h + (off + i) * 2654435761u) >> 16);
+  }
+}
+
 std::byte Filesystem::PatternByte(const std::string& name, std::size_t off) {
-  std::size_t h = std::hash<std::string>{}(name);
-  return static_cast<std::byte>((h * 31 + off * 2654435761u) >> 16);
+  std::byte b;
+  FillPattern(name, off, {&b, 1});
+  return b;
 }
 
 void Filesystem::CreateFilePattern(const std::string& name, std::size_t size) {
   std::vector<std::byte> data(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    data[i] = PatternByte(name, i);
-  }
+  FillPattern(name, 0, data);
   CreateFile(name, std::move(data));
 }
 

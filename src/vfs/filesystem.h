@@ -5,6 +5,7 @@
 #define SRC_VFS_FILESYSTEM_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +34,11 @@ class Filesystem {
   void Close(Vnode* vn) { cache_.Unref(vn); }
 
   bool Exists(const std::string& name) const { return files_.contains(name); }
-  // Expected byte at `off` of a pattern file (for content verification).
+  // The pattern bytes of file `name` from byte `off` on, written to `out`.
+  // The name is hashed once per call, not once per byte.
+  static void FillPattern(const std::string& name, std::size_t off, std::span<std::byte> out);
+  // Expected byte at `off` of a pattern file (for content verification):
+  // FillPattern for one byte.
   static std::byte PatternByte(const std::string& name, std::size_t off);
 
   VnodeCache& cache() { return cache_; }

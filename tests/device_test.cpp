@@ -99,6 +99,18 @@ TEST_P(DeviceTest, FaultBeyondDeviceFails) {
   EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(p, a + 2 * sim::kPageSize, b));
 }
 
+TEST_P(DeviceTest, RegisteredFramesHoldThePatternAtEveryOffset) {
+  kern::DeviceMem* dev = w.kernel->RegisterDevice("/dev/pat", 3);
+  ASSERT_EQ(3u, dev->pages.size());
+  for (std::size_t i = 0; i < dev->pages.size(); ++i) {
+    const auto data = w.pm.Data(dev->pages[i]);
+    for (std::size_t b = 0; b < sim::kPageSize; ++b) {
+      ASSERT_EQ(vfs::Filesystem::PatternByte("/dev/pat", i * sim::kPageSize + b), data[b])
+          << "page " << i << " byte " << b;
+    }
+  }
+}
+
 TEST_P(DeviceTest, RegisterIsIdempotent) {
   kern::DeviceMem* d1 = w.kernel->RegisterDevice("/dev/fb0", 2);
   kern::DeviceMem* d2 = w.kernel->RegisterDevice("/dev/fb0", 8);

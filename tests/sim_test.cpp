@@ -2,11 +2,18 @@
 // determinism, stats reset, error names, page arithmetic, and the
 // reporting helpers.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "src/harness/dump.h"
 #include "src/harness/world.h"
+#include "src/sim/host_pages.h"
 #include "src/sim/report.h"
 #include "src/sim/rng.h"
 
@@ -92,6 +99,57 @@ TEST(RngTest, BoundsRespected) {
     EXPECT_GE(v, 5u);
     EXPECT_LE(v, 9u);
   }
+}
+
+// Pages of `b` the host kernel holds resident, by mincore(2).
+std::size_t ResidentPages(sim::HostPages& b) {
+  std::vector<unsigned char> vec(b.pages());
+  EXPECT_EQ(0, mincore(b.Page(0).data(), b.pages() * sim::kPageSize, vec.data()));
+  return static_cast<std::size_t>(
+      std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+bool AllZero(std::span<const std::byte, sim::kPageSize> page) {
+  static const std::array<std::byte, sim::kPageSize> zero{};
+  return std::memcmp(page.data(), zero.data(), sim::kPageSize) == 0;
+}
+
+// Swap's backing: 128 MB (the default World's swap) costs no host memory
+// until a slot is written, and then only the host page (or, where the host
+// backs anonymous memory with transparent huge pages, the 2 MB page) that
+// holds it.
+TEST(HostPagesTest, LazyPagesAreNotResidentBeforeTheirFirstWrite) {
+  sim::HostPages b(32768, sim::HostPages::Residency::kLazy);
+  EXPECT_EQ(0u, ResidentPages(b));
+  b.Page(100)[7] = std::byte{0x5a};
+  const std::size_t resident = ResidentPages(b);
+  EXPECT_GE(resident, 1u);
+  EXPECT_LE(resident, 512u);
+  for (std::size_t i = 0; i < b.pages(); ++i) {
+    if (i != 100) {
+      ASSERT_TRUE(AllZero(b.Page(i))) << i;
+    }
+  }
+  EXPECT_EQ(std::byte{0x5a}, b.Page(100)[7]);
+  b.Page(100)[7] = std::byte{0};
+  EXPECT_TRUE(AllZero(b.Page(100)));
+}
+
+// RAM's backing: every page resident and zero before the first operation.
+TEST(HostPagesTest, PopulatedPagesAreResidentAndZero) {
+  sim::HostPages b(8192, sim::HostPages::Residency::kPopulated);
+  EXPECT_EQ(8192u, ResidentPages(b));
+  for (std::size_t i = 0; i < b.pages(); ++i) {
+    ASSERT_TRUE(AllZero(b.Page(i))) << i;
+  }
+}
+
+TEST(HostPagesDeathTest, PageIndexIsChecked) {
+  sim::HostPages none(0, sim::HostPages::Residency::kLazy);
+  EXPECT_EQ(0u, none.pages());
+  EXPECT_DEATH(none.Page(0), "assertion failed");
+  sim::HostPages two(2, sim::HostPages::Residency::kPopulated);
+  EXPECT_DEATH(two.Page(2), "assertion failed");
 }
 
 TEST(StatsTest, ResetClearsEverything) {

@@ -95,6 +95,19 @@ TEST_F(SwapTest, SingleSlotRoundTrip) {
   EXPECT_EQ(1u, machine.stats().swap_pages_in);
 }
 
+// Slots are backed lazily; a slot never written still reads back zeros.
+TEST_F(SwapTest, UnwrittenSlotReadsZeros) {
+  std::int32_t first = sd.AllocContig(3);
+  ASSERT_NE(swp::kNoSlot, first);
+  auto page = MakePage(std::byte{0x3c});
+  ASSERT_EQ(sim::kOk, sd.WriteSlot(first + 1, page));
+  for (std::int32_t s : {first, first + 2}) {
+    auto back = MakePage(std::byte{0xff});
+    ASSERT_EQ(sim::kOk, sd.ReadSlot(s, back));
+    EXPECT_EQ(MakePage(std::byte{0}), back) << s;
+  }
+}
+
 TEST_F(SwapTest, RunRoundTripIsOneOperation) {
   std::int32_t first = sd.AllocContig(4);
   std::array<std::array<std::byte, sim::kPageSize>, 4> pages;

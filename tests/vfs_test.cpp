@@ -3,6 +3,9 @@
 // (uvm_vnp_terminate) hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/sim/machine.h"
 #include "src/vfs/filesystem.h"
 
@@ -45,6 +48,26 @@ TEST_F(VfsTest, ReadPagesReturnsPatternAndCharges) {
     EXPECT_EQ(vfs::Filesystem::PatternByte("/a", sim::kPageSize + i), buf[i]) << i;
   }
   fs.Close(vn);
+}
+
+// CreateFilePattern fills a whole file with FillPattern; every byte must
+// equal the one-byte form tests and vmbench's data oracle check against.
+TEST_F(VfsTest, PatternFileMatchesPatternByteAtEveryOffset) {
+  const std::size_t size = 3 * sim::kPageSize + 123;
+  fs.CreateFilePattern("/p", size);
+  vfs::Vnode* vn = fs.Open("/p");
+  std::vector<std::byte> buf(4 * sim::kPageSize);
+  std::size_t valid = 0;
+  ASSERT_EQ(sim::kOk, vn->ReadPages(0, 4, buf, &valid));
+  EXPECT_EQ(4u, valid);
+  for (std::size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(vfs::Filesystem::PatternByte("/p", i), buf[i]) << i;
+  }
+  fs.Close(vn);
+  // A fill from a nonzero offset continues the same sequence.
+  std::vector<std::byte> tail(77);
+  vfs::Filesystem::FillPattern("/p", 5000, tail);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), buf.begin() + 5000));
 }
 
 TEST_F(VfsTest, ReadBeyondEofZeroFills) {
