@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 CI: static analysis (simlint), build + full test suite, the same
-# under ASan and UBSan, the virtual-time, fleet, chaos and example
+# under ASan and UBSan, the virtual-time, vmbench, fleet, chaos and example
 # fingerprints, then the host-time perf harness with its BENCH_host.json
 # checked against the committed baseline (deterministic fields exact, host
 # timings in reference-host units within +25%; see
@@ -91,6 +91,30 @@ python3 scripts/bench_virtual_json.py --bindir "$SOAK_BINDIR" \
   --audit 1 \
   --out build/BENCH_soak.json --expect BENCH_soak.json
 
+# vmbench (the repository benchmark): its self-tests, then one run per
+# workload at seed 1 with no time budget, which still makes the minimum
+# four rounds and checks every round's virtual fingerprint against the
+# first. Each run's two fingerprint lines (uvm, bsdvm) go to
+# build/vmbench_WORKLOAD_fp.txt and are hashed with the fleet, chaos and
+# example runs below, so a host-time change to either VM must leave every
+# round's virtual state alone. A run that is not correct or has a failed
+# call fails here.
+python3 vmbench/run.py --selftest
+VMBENCH="${CARGO_TARGET_DIR:-.bench_build}/vmbench"
+for workload in fork filemap paging; do
+  "$VMBENCH" --workload="$workload" --seed=1 --seconds=0 > "build/vmbench_${workload}.txt"
+  grep -E '^(uvm|bsdvm) +fingerprint ' "build/vmbench_${workload}.txt" \
+    > "build/vmbench_${workload}_fp.txt"
+  if ! tail -n 1 "build/vmbench_${workload}.txt" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+    echo "ci.sh: vmbench --workload=$workload --seed=1 --seconds=0 was not correct" \
+      "or had failed calls; see build/vmbench_${workload}.txt" >&2
+    exit 1
+  fi
+done
+
 # Fleet, chaos and example double runs. Each run executes twice and its two
 # stdouts must be byte-identical; the fifteen double runs go in parallel as
 # background jobs, and every one is waited on. A run that fails or diverges
@@ -167,12 +191,13 @@ if [ "$double_run_failed" != 0 ]; then
 fi
 grep -q '^repro: uvmchaos/v1|' build/chaos_shrink_a.txt
 
-# "Same bytes" for every fleet, chaos and example run above: each first
-# run's stdout must hash to its committed value. sha256sum prints a FAILED
-# line naming each run whose output moved; a change that moves one must
-# update BENCH_fleet_chaos.sha256 and say why in CHANGES.md.
+# "Same bytes" for every fleet, chaos and example run above, and for the
+# vmbench fingerprint lines: each first run's stdout must hash to its
+# committed value. sha256sum prints a FAILED line naming each run whose
+# output moved; a change that moves one must update
+# BENCH_fleet_chaos.sha256 and say why in CHANGES.md.
 if ! sha256sum -c --quiet BENCH_fleet_chaos.sha256; then
-  echo "ci.sh: fleet/chaos/example stdout moved from BENCH_fleet_chaos.sha256 (see FAILED above)" >&2
+  echo "ci.sh: fleet/chaos/example/vmbench output moved from BENCH_fleet_chaos.sha256 (see FAILED above)" >&2
   exit 1
 fi
 

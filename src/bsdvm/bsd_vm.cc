@@ -780,20 +780,33 @@ int BsdVm::FaultBody(BsdAddressSpace& as, MapEntry& e, sim::Vaddr va, bool write
   VmObject* first = e.object;
   const std::uint64_t first_pgi = e.PageIndexOf(va);
 
-  // Walk the shadow chain looking for the page.
+  // Walk the shadow chain looking for the page. Each object in the chain
+  // has its own lock that must be taken and dropped while searching (§5.3).
+  // One class-level lock stands in for the per-object locks; its acquire
+  // folds the hop cost into the same single context charge the walk has
+  // always made.
+  const sim::Nanoseconds hop_ns =
+      machine_.cost().object_chain_hop_ns + machine_.cost().object_lock_ns;
   VmObject* obj = first;
   std::uint64_t pgi = first_pgi;
   phys::Page* page = nullptr;
   VmObject* found_in = nullptr;
   for (;;) {
-    // Each object in the chain has its own lock that must be taken and
-    // dropped while searching (§5.3). One class-level lock stands in for the
-    // per-object locks; its acquire folds the hop cost into the same single
-    // context charge the walk has always made.
-    sim::LockGuard chain(object_chain_lock_,
-                         machine_.cost().object_chain_hop_ns +
-                             machine_.cost().object_lock_ns);
+    // Under the lock of an object that holds nothing at the page the walk
+    // only searches it, so pass such objects with a plain loop (one lookup
+    // each) and account their lock round trips in one call. The object
+    // where work happens is locked for real, with its lookup carried over.
+    std::uint64_t hops = 0;
     page = obj->LookupPage(pgi);
+    while (page == nullptr && (obj->pager == nullptr || !obj->pager->HasPage(pgi)) &&
+           obj->shadow != nullptr) {
+      pgi += obj->shadow_pgoffset;
+      obj = obj->shadow;
+      ++hops;
+      page = obj->LookupPage(pgi);
+    }
+    object_chain_lock_.RoundTrips(hops, hop_ns);
+    sim::LockGuard chain(object_chain_lock_, hop_ns);
     if (page != nullptr && page->poisoned) {
       // hwpoison discovery at fault time. Clean pages are discarded and the
       // walk falls through to re-probe this object's pager (or a deeper

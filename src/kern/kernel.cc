@@ -623,7 +623,8 @@ kern::DeviceMem* Kernel::RegisterDevice(const std::string& name, std::size_t npa
   auto dev = std::make_unique<DeviceMem>();
   dev->name = name;
   for (std::size_t i = 0; i < npages; ++i) {
-    phys::Page* p = pm_.AllocPage(phys::OwnerKind::kKernel, dev.get(), i, /*zero=*/true);
+    // No zero fill: the pattern below overwrites the whole frame.
+    phys::Page* p = pm_.AllocPage(phys::OwnerKind::kKernel, dev.get(), i, /*zero=*/false);
     SIM_POOL_FATAL_OK("boot-time device registration precedes any pressure plan");
     SIM_ASSERT_MSG(p != nullptr, "out of memory registering device");
     pm_.Wire(p);

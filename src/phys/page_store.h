@@ -19,6 +19,7 @@
 #define SRC_PHYS_PAGE_STORE_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -39,10 +40,32 @@ class PageStore {
   static constexpr std::uint64_t kChunkMask = kChunkPages - 1;
 
  private:
+  static constexpr std::uint64_t kWordBits = 64;
+  static constexpr std::uint64_t kWords = kChunkPages / kWordBits;
+
   struct Chunk {
     std::array<Page*, kChunkPages> slots{};
+    // Bit i is set exactly when slots[i] is occupied; lets iteration jump
+    // over empty slots a word at a time.
+    std::array<std::uint64_t, kWords> occupied{};
     std::uint32_t live = 0;
     bool pooled = false;  // allocation origin (slab vs heap fallback)
+
+    void Set(std::uint64_t slot) { occupied[slot / kWordBits] |= Bit(slot); }
+    void Clear(std::uint64_t slot) { occupied[slot / kWordBits] &= ~Bit(slot); }
+    // The first occupied slot at or after `slot`, or kChunkPages if none.
+    std::uint64_t NextOccupied(std::uint64_t slot) const {
+      std::uint64_t w = slot / kWordBits;
+      std::uint64_t bits = occupied[w] & (~0ull << (slot % kWordBits));
+      while (bits == 0) {
+        if (++w == kWords) {
+          return kChunkPages;
+        }
+        bits = occupied[w];
+      }
+      return w * kWordBits + static_cast<std::uint64_t>(std::countr_zero(bits));
+    }
+    static std::uint64_t Bit(std::uint64_t slot) { return 1ull << (slot % kWordBits); }
   };
   using Dir = std::map<std::uint64_t, Chunk*>;
 
@@ -71,12 +94,14 @@ class PageStore {
       Settle();
     }
     // Advance to the first occupied slot at or after the current position;
-    // normalize to (end, 0) when exhausted.
+    // normalize to (end, 0) when exhausted. The current slot is tested
+    // before the bitmap is searched: dense chunks then step as a plain
+    // array walk, without a dependent shift/mask/count chain per page.
     void Settle() {
       while (dir_it_ != dir_->end()) {
         const Chunk& c = *dir_it_->second;
-        while (slot_ < kChunkPages && c.slots[slot_] == nullptr) {
-          ++slot_;
+        if (slot_ < kChunkPages && c.slots[slot_] == nullptr) {
+          slot_ = c.NextOccupied(slot_);
         }
         if (slot_ < kChunkPages) {
           cur_ = {(dir_it_->first << kChunkShift) | slot_, c.slots[slot_]};
@@ -124,6 +149,7 @@ class PageStore {
     Page*& slot = c.slots[pgindex & kChunkMask];
     SIM_ASSERT_MSG(slot == nullptr, "page store double insert");
     slot = page;
+    c.Set(pgindex & kChunkMask);
     ++c.live;
     ++size_;
   }
@@ -134,6 +160,7 @@ class PageStore {
     Chunk& c = EnsureChunk(pgindex >> kChunkShift);
     Page*& slot = c.slots[pgindex & kChunkMask];
     if (slot == nullptr) {
+      c.Set(pgindex & kChunkMask);
       ++c.live;
       ++size_;
     }
@@ -146,6 +173,7 @@ class PageStore {
       return 0;
     }
     it->second->slots[pgindex & kChunkMask] = nullptr;
+    it->second->Clear(pgindex & kChunkMask);
     --it->second->live;
     --size_;
     if (it->second->live == 0) {

@@ -16,9 +16,9 @@
 //  - Clang Thread Safety Analysis attributes (via annotations.h) make the
 //    discipline statically checkable under the `tsa` CMake preset.
 //
-// SimLock::Acquire is the ONLY sanctioned `CostCat::kLock` charge site;
-// simlint rule `naked-lock-charge` flags any other (escape hatch
-// SIM_LOCK_CHARGE_OK).
+// SimLock's Acquire and RoundTrips are the ONLY sanctioned `CostCat::kLock`
+// charge sites; simlint rule `naked-lock-charge` flags any other (escape
+// hatch SIM_LOCK_CHARGE_OK).
 #ifndef SRC_SIM_LOCK_H_
 #define SRC_SIM_LOCK_H_
 
@@ -113,18 +113,9 @@ class SIM_CAPABILITY("mutex") SimLock {
         machine_.tracer().Instant(CostCat::kLock, "contended", machine_.clock().now());
       }
     }
-    const Nanoseconds ns = (acquire_ns_ != nullptr ? *acquire_ns_ : 0) + extra_ns;
+    const Nanoseconds ns = AcquireNs(extra_ns);
     if (ns > 0) {
-      if (attribution_ == Attribution::kContext) {
-        machine_.Charge(ns);
-      } else {
-        machine_.Charge(CostCat::kLock, ns);
-      }
-      if (machine_.tracer().enabled()) {
-        // Instant (not span) events: a lock may legally be released after an
-        // enclosing ChargeScope closes, which would mis-nest span pairs.
-        machine_.tracer().Instant(CostCat::kLock, name_, machine_.clock().now());
-      }
+      ChargeAcquire(ns);
     }
     held_ = true;
     owner_cpu_ = cpu;
@@ -156,6 +147,38 @@ class SIM_CAPABILITY("mutex") SimLock {
     machine_.locks().PopHeld(this);
   }
 
+  // `n` back-to-back Acquire(extra_ns)/Release() round trips with nothing
+  // charged while held: the same clock, CostBreakdown, Stats, per-lock
+  // counters and trace instants as `n` empty LockGuard scopes, and the same
+  // panics. Only the first round trip can be contended, so it is a real
+  // one; after it this CPU is the lock's last owner, and CPUs switch only
+  // at operation boundaries, so the other n - 1 are charged and counted in
+  // one step (one charge and instant each while tracing).
+  void RoundTrips(std::uint64_t n, Nanoseconds extra_ns = 0) {
+    if (n == 0) {
+      return;
+    }
+    Acquire(extra_ns);
+    Release();
+    const std::uint64_t rest = n - 1;
+    const Nanoseconds ns = AcquireNs(extra_ns);
+    if (ns > 0) {
+      if (machine_.tracer().enabled()) {
+        for (std::uint64_t i = 0; i < rest; ++i) {
+          ChargeAcquire(ns);
+        }
+      } else {
+        machine_.ChargeRepeated(ChargeCat(), ns, rest);
+      }
+    }
+    acquisitions_ += rest;
+    machine_.stats().lock_acquisitions += rest;
+    if (rank_ == LockRank::kMap) {
+      machine_.stats().map_lock_acquisitions += rest;
+    }
+    last_release_ns_ = machine_.clock().now();
+  }
+
   bool IsHeld() const { return held_; }
   const char* name() const { return name_; }
   LockRank rank() const { return rank_; }
@@ -166,6 +189,22 @@ class SIM_CAPABILITY("mutex") SimLock {
 
  private:
   static constexpr std::size_t kNoCpu = static_cast<std::size_t>(-1);
+
+  Nanoseconds AcquireNs(Nanoseconds extra_ns) const {
+    return (acquire_ns_ != nullptr ? *acquire_ns_ : 0) + extra_ns;
+  }
+  CostCat ChargeCat() const {
+    return attribution_ == Attribution::kContext ? machine_.cost_context() : CostCat::kLock;
+  }
+  // One acquire's charge, then its trace instant stamped after it.
+  void ChargeAcquire(Nanoseconds ns) {
+    machine_.Charge(ChargeCat(), ns);
+    if (machine_.tracer().enabled()) {
+      // Instant (not span) events: a lock may legally be released after an
+      // enclosing ChargeScope closes, which would mis-nest span pairs.
+      machine_.tracer().Instant(CostCat::kLock, name_, machine_.clock().now());
+    }
+  }
 
   Machine& machine_;
   const char* name_;

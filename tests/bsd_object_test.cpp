@@ -3,7 +3,10 @@
 // §5.1 pathology — swap memory leaks through uncollapsible chains.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/harness/world.h"
+#include "src/sim/lock.h"
 
 namespace {
 
@@ -243,6 +246,85 @@ TEST(BsdObjectTest, CollapseFreesObscuredPages) {
   w.kernel->TouchWrite(p, addr, sim::kPageSize, std::byte{3});
   EXPECT_EQ(npages, Bsd(w)->TotalAnonPages());
   w.CheckInvariants();
+}
+
+// What one read fault through a shadow chain left behind.
+struct ChainFault {
+  std::size_t depth = 0;  // the parent's chain, checked with MaxChainDepth
+  std::uint64_t object_lock_acquisitions = 0;
+  std::uint64_t pagestore_lookups = 0;
+  std::uint64_t fault_ns = 0;  // CostCat::kFault, where the walk's hops land
+  std::uint64_t fault_charges = 0;
+};
+
+std::uint64_t ObjectLockAcquisitions(const World& w) {
+  for (const sim::LockClassTotals& t : sim::LockTable(w.machine.locks())) {
+    if (std::string(t.name) == "bsd.object") {
+      return t.acquisitions;
+    }
+  }
+  return 0;
+}
+
+// vmbench fork's pattern grows the parent's chain by one object per cycle:
+// fork a child, write a page in the parent while the child lives (a new
+// shadow over the one the child still shares), let the child exit. Each
+// cycle writes a different page, so page 0 stays in the bottom object
+// only. Then a fresh child reads page 0: its fault walks the whole chain.
+// Collapse is off because that read's own collapse attempt would absorb
+// the objects below the top (the children that shared them are gone) and
+// add its own lookups; the cycles never collapse with it on either.
+ChainFault ForkChainReadFault(int cycles) {
+  WorldConfig cfg;
+  cfg.bsd.enable_collapse = false;
+  World w(VmKind::kBsd, cfg);
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr addr = 0;
+  const std::size_t npages = 8;
+  EXPECT_EQ(sim::kOk, w.kernel->MmapAnon(p, &addr, npages * sim::kPageSize, kern::MapAttrs{}));
+  w.kernel->TouchWrite(p, addr, npages * sim::kPageSize, std::byte{1});
+  for (int c = 1; c <= cycles; ++c) {
+    kern::Proc* child = w.kernel->Fork(p);
+    w.kernel->TouchWrite(p, addr + c * sim::kPageSize, sim::kPageSize, std::byte{2});
+    w.kernel->Exit(child);
+  }
+  ChainFault f;
+  f.depth = Bsd(w)->MaxChainDepth(*p->as);
+  kern::Proc* reader = w.kernel->Fork(p);
+  const std::uint64_t faults = w.machine.stats().faults;
+  const std::uint64_t acquisitions = ObjectLockAcquisitions(w);
+  const std::uint64_t lookups = w.machine.stats().pagestore_lookups;
+  const sim::CostBreakdown before = w.machine.breakdown();
+  EXPECT_EQ(sim::kOk, w.kernel->TouchRead(reader, addr, 1));
+  EXPECT_EQ(faults + 1, w.machine.stats().faults);
+  const sim::CostBreakdown d = w.machine.breakdown().Since(before);
+  f.object_lock_acquisitions = ObjectLockAcquisitions(w) - acquisitions;
+  f.pagestore_lookups = w.machine.stats().pagestore_lookups - lookups;
+  f.fault_ns = d.ns_of(sim::CostCat::kFault);
+  f.fault_charges = d.charges_of(sim::CostCat::kFault);
+  w.kernel->Exit(reader);
+  w.CheckInvariants();
+  return f;
+}
+
+// The chain walk takes and drops one object lock per object it searches,
+// charging a hop and a lock round trip each, and looks each object up
+// exactly once, whether it passes the object or stops there.
+TEST(BsdObjectTest, ChainWalkAccountsEveryHop) {
+  const ChainFault deep = ForkChainReadFault(5);
+  const ChainFault flat = ForkChainReadFault(0);
+  ASSERT_EQ(6u, deep.depth);
+  ASSERT_EQ(1u, flat.depth);
+  EXPECT_EQ(deep.depth, deep.object_lock_acquisitions);
+  EXPECT_EQ(flat.depth, flat.object_lock_acquisitions);
+  EXPECT_EQ(deep.depth, deep.pagestore_lookups);
+  EXPECT_EQ(flat.depth, flat.pagestore_lookups);
+  // Everything else the fault charges is the same at both depths.
+  const sim::CostModel cost;
+  const std::uint64_t hop_ns = cost.object_chain_hop_ns + cost.object_lock_ns;
+  EXPECT_GE(flat.fault_ns, hop_ns);
+  EXPECT_EQ((deep.depth - flat.depth) * hop_ns, deep.fault_ns - flat.fault_ns);
+  EXPECT_EQ(deep.depth - flat.depth, deep.fault_charges - flat.fault_charges);
 }
 
 }  // namespace

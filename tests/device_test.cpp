@@ -111,6 +111,16 @@ TEST_P(DeviceTest, RegisteredFramesHoldThePatternAtEveryOffset) {
   }
 }
 
+// The pattern overwrites every byte of a device frame, so registration
+// pays for no zero fill: no virtual time and no zeroed page.
+TEST_P(DeviceTest, RegistrationChargesNoZeroFill) {
+  const sim::Nanoseconds now = w.machine.clock().now();
+  const std::uint64_t zeroed = w.machine.stats().pages_zeroed;
+  w.kernel->RegisterDevice("/dev/nozero", 5);
+  EXPECT_EQ(now, w.machine.clock().now());
+  EXPECT_EQ(zeroed, w.machine.stats().pages_zeroed);
+}
+
 TEST_P(DeviceTest, RegisterIsIdempotent) {
   kern::DeviceMem* d1 = w.kernel->RegisterDevice("/dev/fb0", 2);
   kern::DeviceMem* d2 = w.kernel->RegisterDevice("/dev/fb0", 8);

@@ -1,10 +1,12 @@
 // The lock-discipline capability layer (src/sim/lock.h, DESIGN.md §15):
 // charge semantics, per-lock and aggregate counters, the runtime rank
-// validator's panics, LockToken witnesses, registry retirement, the frame
+// validator's panics, LockToken witnesses, registry retirement, batched
+// round trips against the LockGuard scopes they stand for, the frame
 // generation tag behind FrameIsCurrent, and whole-fleet lock attribution
 // (every registered lock class is exercised; double runs are identical).
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +118,167 @@ TEST(LockTest, RetiredTotalsSurviveTheLockObject) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// --- SimLock::RoundTrips against back-to-back LockGuard scopes ---
+
+// Everything a lock round trip can leave behind on a machine.
+struct LockEffects {
+  sim::Nanoseconds now = 0;
+  sim::CostBreakdown breakdown;
+  std::uint64_t acquisitions = 0;
+  std::uint64_t map_acquisitions = 0;
+  std::uint64_t hold_ns = 0;
+  std::uint64_t map_hold_ns = 0;
+  std::uint64_t contended = 0;
+  std::uint64_t wait_ns = 0;
+  std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>>
+      table;
+  std::vector<std::tuple<sim::TraceEventKind, std::string, sim::Nanoseconds>> trace;
+};
+
+LockEffects EffectsOf(const sim::Machine& m) {
+  LockEffects e;
+  e.now = m.clock().now();
+  e.breakdown = m.breakdown();
+  e.acquisitions = m.stats().lock_acquisitions;
+  e.map_acquisitions = m.stats().map_lock_acquisitions;
+  e.hold_ns = m.stats().lock_hold_ns;
+  e.map_hold_ns = m.stats().map_lock_hold_ns;
+  e.contended = m.stats().lock_contended_acquires;
+  e.wait_ns = m.stats().lock_wait_ns;
+  for (const sim::LockClassTotals& t : sim::LockTable(m.locks())) {
+    e.table.emplace_back(t.name, t.acquisitions, t.hold_ns, t.contended_acquires, t.wait_ns);
+  }
+  for (std::size_t i = 0; i < m.tracer().size(); ++i) {
+    const sim::TraceEvent& ev = m.tracer().at(i);
+    e.trace.emplace_back(ev.kind, ev.name, ev.ts);
+  }
+  return e;
+}
+
+void ExpectSameEffects(const LockEffects& guards, const LockEffects& batched) {
+  EXPECT_EQ(guards.now, batched.now);
+  EXPECT_EQ(guards.breakdown.ns, batched.breakdown.ns);
+  EXPECT_EQ(guards.breakdown.charges, batched.breakdown.charges);
+  EXPECT_EQ(guards.acquisitions, batched.acquisitions);
+  EXPECT_EQ(guards.map_acquisitions, batched.map_acquisitions);
+  EXPECT_EQ(guards.hold_ns, batched.hold_ns);
+  EXPECT_EQ(guards.map_hold_ns, batched.map_hold_ns);
+  EXPECT_EQ(guards.contended, batched.contended);
+  EXPECT_EQ(guards.wait_ns, batched.wait_ns);
+  EXPECT_EQ(guards.table, batched.table);
+  EXPECT_EQ(guards.trace, batched.trace);
+}
+
+struct RoundTripCase {
+  sim::LockRank rank;
+  bool costed;  // acquire_ns set (11 ns) or a zero-cost lock
+  sim::SimLock::Attribution attribution;
+  sim::Nanoseconds extra_ns;
+};
+
+// `n` round trips inside a fault scope, between two other charges, once as
+// LockGuard scopes and once as one RoundTrips call, on fresh machines.
+void CheckRoundTrips(const RoundTripCase& c, std::uint64_t n, bool trace) {
+  auto run = [&](bool batched) {
+    sim::Machine m;
+    if (trace) {
+      m.tracer().Enable();
+    }
+    const sim::Nanoseconds cost = 11;
+    sim::SimLock lock(m, "t.rt", c.rank, c.costed ? &cost : nullptr, c.attribution);
+    {
+      sim::ChargeScope scope(m, sim::CostCat::kFault, "t.fault");
+      m.Charge(3);
+      if (batched) {
+        lock.RoundTrips(n, c.extra_ns);
+      } else {
+        for (std::uint64_t i = 0; i < n; ++i) {
+          sim::LockGuard g(lock, c.extra_ns);
+        }
+      }
+      m.Charge(5);
+    }
+    EXPECT_EQ(n, lock.acquisitions());
+    EXPECT_FALSE(lock.IsHeld());
+    EXPECT_TRUE(m.locks().held().empty());
+    return EffectsOf(m);
+  };
+  ExpectSameEffects(run(false), run(true));
+}
+
+TEST(LockRoundTripTest, MatchesLockGuardScopes) {
+  const RoundTripCase cases[] = {
+      // The BSD chain lock's shape: charged into the enclosing fault scope.
+      {sim::LockRank::kObject, true, sim::SimLock::Attribution::kContext, 800},
+      {sim::LockRank::kMap, true, sim::SimLock::Attribution::kLeaf, 0},
+      {sim::LockRank::kPageQueue, false, sim::SimLock::Attribution::kLeaf, 0},
+  };
+  for (const RoundTripCase& c : cases) {
+    for (std::uint64_t n : {0, 1, 2, 7}) {
+      for (bool trace : {false, true}) {
+        SCOPED_TRACE("rank " + std::string(sim::LockRankName(c.rank)) + " n " +
+                     std::to_string(n) + (trace ? " traced" : ""));
+        CheckRoundTrips(c, n, trace);
+      }
+    }
+  }
+}
+
+// Another CPU released the lock at a later local time, so the first round
+// trip spins up to that release and is the only contended one; a later
+// acquire on the other CPU is contended against the last round trip's
+// release, exactly as after the guards.
+TEST(LockRoundTripTest, OnlyTheFirstRoundTripIsContended) {
+  auto run = [](bool batched) {
+    sim::Machine m;
+    m.scheduler().Configure(2, 7);
+    const sim::Nanoseconds cost = 10;
+    sim::SimLock lock(m, "t.smp", sim::LockRank::kObject, &cost);
+    lock.Acquire();
+    m.Charge(100);
+    lock.Release();  // cpu 0 releases at local time 110
+    // SIM_SCHED_SWITCH_OK: test drives the scheduler by hand.
+    m.scheduler().SwitchTo(1);
+    if (batched) {
+      lock.RoundTrips(4);
+    } else {
+      for (int i = 0; i < 4; ++i) {
+        sim::LockGuard g(lock);
+      }
+    }
+    EXPECT_EQ(1u, lock.contended_acquires());
+    EXPECT_EQ(110u, lock.wait_ns());
+    EXPECT_EQ(150u, m.clock().now());  // 110 waited, then 4 x 10
+    // SIM_SCHED_SWITCH_OK: test drives the scheduler by hand.
+    m.scheduler().SwitchTo(0);
+    {
+      sim::LockGuard g(lock);  // cpu 0 at 110 is behind cpu 1's release at 150
+    }
+    EXPECT_EQ(2u, lock.contended_acquires());
+    return EffectsOf(m);
+  };
+  ExpectSameEffects(run(false), run(true));
+}
+
+TEST(LockDeathTest, RoundTripsOnAHeldLockPanics) {
+  sim::Machine m;
+  sim::SimLock lock(m, "t.reent", sim::LockRank::kObject);
+  lock.Acquire();
+  EXPECT_DEATH(lock.RoundTrips(3), "re-entrant acquire of lock t.reent");
+  lock.Release();
+}
+
+TEST(LockDeathTest, RoundTripsOutOfRankOrderPanics) {
+  sim::Machine m;
+  sim::SimLock pmap(m, "t.pmap", sim::LockRank::kPmap);
+  sim::SimLock obj(m, "t.obj", sim::LockRank::kObject);
+  pmap.Acquire();
+  EXPECT_DEATH(obj.RoundTrips(2),
+               "lock rank violation: acquiring t.obj \\(rank object\\) while holding t.pmap "
+               "\\(rank pmap\\)");
+  pmap.Release();
 }
 
 TEST(LockDeathTest, ReentrantAcquirePanics) {

@@ -236,14 +236,19 @@ enum class Bind { kNever, kFirst, kLate };
 
 // A seeded random mix of every PageStore mutation and lookup, each run on a
 // std::map as well; size and ascending iteration must agree after every op.
-// Half the keys sit at and around 2 MB chunk boundaries or far out (a chunk
-// each); the other half fall in one dense chunk filled up front, which stays
-// about half full and so is never freed. `bind` says when the store starts
-// taking chunks from a pool: never, before the first op, or halfway through,
-// when the dense chunk and others already came from the heap.
+// Two keys in five sit at and around 2 MB chunk boundaries, at the 64-bit
+// word boundaries of chunk 0's occupancy bitmap, or far out (a chunk each);
+// two in five fall in one dense chunk filled up front, which stays about
+// half full and so is never freed; the rest fall in one sparse chunk, whose
+// mutations only touch a few seeded offsets, so iteration, lower_bound and
+// erase through an iterator must jump across empty bitmap words. `bind`
+// says when the store starts taking chunks from a pool: never, before the
+// first op, or halfway through, when the dense chunk and others already
+// came from the heap.
 void CheckPageStoreAgainstMap(Bind bind) {
   constexpr std::uint64_t kChunk = phys::PageStore::kChunkPages;
   constexpr std::uint64_t kDense = 5 * kChunk;
+  constexpr std::uint64_t kSparse = 9 * kChunk;
   constexpr std::size_t kOps = 4000;
   std::vector<std::uint64_t> edges = {0, 1, (1ull << 20) + 3, (1ull << 32) + 7, (1ull << 51) - 1};
   for (std::uint64_t c = 1; c <= 4; ++c) {
@@ -251,8 +256,16 @@ void CheckPageStoreAgainstMap(Bind bind) {
       edges.push_back(k);  // 510, 511, 512, 513, 1022, ...
     }
   }
+  for (std::uint64_t k = 64; k < kChunk; k += 64) {
+    edges.push_back(k - 1);  // 63, 64, 127, 128, ..., 447, 448
+    edges.push_back(k);
+  }
   std::array<phys::Page, 3> pages{};
   sim::Rng rng(23);
+  std::vector<std::uint64_t> sparse;
+  for (int i = 0; i < 6; ++i) {
+    sparse.push_back(kSparse + rng.Below(kChunk));
+  }
   sim::PoolResource pool("test.pagestore");
   {
     using Ref = std::map<std::uint64_t, phys::Page*>;
@@ -272,15 +285,33 @@ void CheckPageStoreAgainstMap(Bind bind) {
       store.emplace(k, &pages[0]);
       ref.emplace(k, &pages[0]);
     }
+    for (std::uint64_t k : sparse) {
+      store.Put(k, &pages[1]);
+      ref[k] = &pages[1];
+    }
     for (std::size_t op = 0; op < kOps; ++op) {
       if (bind == Bind::kLate && op == kOps / 2) {
         store.BindPool(&pool);
       }
-      const std::uint64_t key =
-          rng.Chance(1, 2) ? edges[rng.Below(edges.size())] : kDense + rng.Below(kChunk);
+      const std::uint64_t kind = rng.Below(7);
+      const bool mutates = kind <= 3;
+      std::uint64_t key;
+      switch (rng.Below(5)) {
+        case 0:
+        case 1:
+          key = edges[rng.Below(edges.size())];
+          break;
+        case 2:
+        case 3:
+          key = kDense + rng.Below(kChunk);
+          break;
+        default:
+          key = mutates ? sparse[rng.Below(sparse.size())] : kSparse + rng.Below(kChunk);
+          break;
+      }
       phys::Page* page = &pages[rng.Below(pages.size())];
       const Ref::const_iterator at = ref.find(key);
-      switch (rng.Below(7)) {
+      switch (kind) {
         case 0:
           if (at == ref.end()) {
             store.emplace(key, page);
