@@ -100,16 +100,16 @@ python3 scripts/bench_virtual_json.py --bindir "$SOAK_BINDIR" \
 # round's virtual state alone. A run that is not correct or has a failed
 # call fails here.
 python3 vmbench/run.py --selftest
-VMBENCH="${CARGO_TARGET_DIR:-.bench_build}/vmbench"
 for workload in fork filemap paging; do
-  "$VMBENCH" --workload="$workload" --seed=1 --seconds=0 > "build/vmbench_${workload}.txt"
+  python3 vmbench/run.py --workload "$workload" --seed 1 --seconds 0 --trace 0 \
+    > "build/vmbench_${workload}.txt"
   grep -E '^(uvm|bsdvm) +fingerprint ' "build/vmbench_${workload}.txt" \
     > "build/vmbench_${workload}_fp.txt"
   if ! tail -n 1 "build/vmbench_${workload}.txt" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
-    echo "ci.sh: vmbench --workload=$workload --seed=1 --seconds=0 was not correct" \
+    echo "ci.sh: vmbench/run.py --workload $workload --seed 1 --seconds 0 was not correct" \
       "or had failed calls; see build/vmbench_${workload}.txt" >&2
     exit 1
   fi

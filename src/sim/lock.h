@@ -152,8 +152,8 @@ class SIM_CAPABILITY("mutex") SimLock {
   // counters and trace instants as `n` empty LockGuard scopes, and the same
   // panics. Only the first round trip can be contended, so it is a real
   // one; after it this CPU is the lock's last owner, and CPUs switch only
-  // at operation boundaries, so the other n - 1 are charged and counted in
-  // one step (one charge and instant each while tracing).
+  // at operation boundaries, so each of the other n - 1 is just its charge
+  // and trace instant, with the counters bumped once for all of them.
   void RoundTrips(std::uint64_t n, Nanoseconds extra_ns = 0) {
     if (n == 0) {
       return;
@@ -163,12 +163,8 @@ class SIM_CAPABILITY("mutex") SimLock {
     const std::uint64_t rest = n - 1;
     const Nanoseconds ns = AcquireNs(extra_ns);
     if (ns > 0) {
-      if (machine_.tracer().enabled()) {
-        for (std::uint64_t i = 0; i < rest; ++i) {
-          ChargeAcquire(ns);
-        }
-      } else {
-        machine_.ChargeRepeated(ChargeCat(), ns, rest);
+      for (std::uint64_t i = 0; i < rest; ++i) {
+        ChargeAcquire(ns);
       }
     }
     acquisitions_ += rest;

@@ -81,13 +81,6 @@ class Machine {
     breakdown_.Add(cat, ns);
   }
 
-  // `times` back-to-back Charge(cat, ns) calls in one step: the same clock
-  // advance, category total and charge count.
-  void ChargeRepeated(CostCat cat, Nanoseconds ns, std::uint64_t times) {
-    clock_.Advance(ns * times);
-    breakdown_.Add(cat, ns * times, times);
-  }
-
  private:
   friend class ChargeScope;
   static constexpr std::size_t kMaxCostScopeDepth = 32;

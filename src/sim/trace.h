@@ -56,9 +56,9 @@ struct CostBreakdown {
   std::array<std::uint64_t, kNumCostCats> ns{};
   std::array<std::uint64_t, kNumCostCats> charges{};
 
-  void Add(CostCat c, Nanoseconds n, std::uint64_t count = 1) {
+  void Add(CostCat c, Nanoseconds n) {
     ns[static_cast<std::size_t>(c)] += static_cast<std::uint64_t>(n);
-    charges[static_cast<std::size_t>(c)] += count;
+    ++charges[static_cast<std::size_t>(c)];
   }
 
   std::uint64_t ns_of(CostCat c) const { return ns[static_cast<std::size_t>(c)]; }

@@ -792,7 +792,8 @@ def rule_poison_write(repo: Repo) -> list:
     return findings
 
 
-# The one sanctioned kLock charge site: sim::SimLock::Acquire. Everything
+# The one sanctioned kLock charge site: sim::SimLock in src/sim/lock.h, whose
+# Acquire and RoundTrips charge each acquire through one helper. Everything
 # else must hold a named, ranked lock so the charge is attributable and the
 # rank validator sees the acquire (DESIGN.md §15).
 LOCK_CHARGE_RE = re.compile(r"\bCharge\s*\(\s*(?:sim::)?CostCat::kLock\b")
