@@ -231,7 +231,9 @@ double MicroPageStore() {
   for (auto& k : keys) {
     k = rng.Next() % (kPages * 2);
   }
-  phys::PageStore store;
+  sim::PoolResource chunk_pool("bench.pagestore_chunks");
+  sim::Stats stats;
+  phys::PageStore store(&chunk_pool, &stats);
   for (std::uint64_t i = 0; i < kPages; ++i) {
     store.Put(i, &dummy);
   }
@@ -314,8 +316,11 @@ double MicroAnonChurn() {
 }
 
 double MicroObjectChurn() {
-  return PoolChurnNsPerOp<bsdvm::VmObject>(
-      [](sim::Pool<bsdvm::VmObject>& p) { return p.New(16, true); });
+  sim::PoolResource chunk_pool("bench.pagestore_chunks");
+  sim::Stats stats;
+  return PoolChurnNsPerOp<bsdvm::VmObject>([&](sim::Pool<bsdvm::VmObject>& p) {
+    return p.New(16, true, &chunk_pool, &stats);
+  });
 }
 
 // Chunk churn: every emplace lands in its own 2 MB region, so each
@@ -324,8 +329,8 @@ double MicroPageStoreChurn() {
   constexpr std::size_t kChunks = 32;
   phys::Page dummy;
   sim::PoolResource chunk_pool("bench.pagestore_chunks");
-  phys::PageStore store;
-  store.BindPool(&chunk_pool);
+  sim::Stats stats;
+  phys::PageStore store(&chunk_pool, &stats);
   auto round = [&] {
     for (std::size_t i = 0; i < kChunks; ++i) {
       store.emplace(i * phys::PageStore::kChunkPages, &dummy);

@@ -101,10 +101,9 @@ std::unique_ptr<SwapPager> BsdVm::NewSwapPager() {
 VmObject* BsdVm::NewObject(std::size_t size_pages, bool internal) {
   machine_.Charge(sim::CostCat::kAlloc, machine_.cost().object_alloc_ns);
   ++machine_.stats().objects_allocated;
-  VmObject* obj = object_pool_.New(size_pages, internal);
+  VmObject* obj =
+      object_pool_.New(size_pages, internal, &pagestore_chunk_pool_, &machine_.stats());
   obj->id = next_object_id_++;
-  obj->pages.BindStats(&machine_.stats());
-  obj->pages.BindPool(&pagestore_chunk_pool_);
   all_objects_.insert(obj);
   return obj;
 }
@@ -239,8 +238,7 @@ void BsdVm::FreeObjectPage(phys::Page* p) {
 }
 
 int BsdVm::ContainPoisonedPage(phys::Page* p) {
-  SIM_ASSERT_MSG(p->wire_count == 0, "EMEMPOISON: poisoned wired/device page is uncontainable");
-  machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
+  kern::BeginPoisonContainment(machine_, p);
   auto* obj = static_cast<VmObject*>(p->owner);
   if (p->dirty) {
     // The only copy of modified data is gone. An internal page stays
@@ -364,6 +362,26 @@ void BsdVm::TryCollapse(VmObject* top) {
 // ---------------------------------------------------------------------------
 // Mapping operations
 
+namespace {
+
+// vm_map_find()'s entry over e.object, which Map and MapDevice fill alike:
+// the range with the insecure read-write default (§3.1). A private mapping
+// of a vnode or device object is copy-on-write; anonymous memory has its
+// own object already.
+void FillEntry(MapEntry& e, sim::Vaddr start, std::uint64_t len, const kern::MapAttrs& attrs) {
+  e.start = start;
+  e.end = start + len;
+  e.prot = sim::Prot::kReadWrite;
+  e.max_prot = attrs.max_prot;
+  if (!attrs.shared && !e.object->internal_) {
+    e.copy_on_write = true;
+    e.needs_copy = true;
+    e.eager_shadow = true;  // BSD shadows private mappings on any fault
+  }
+}
+
+}  // namespace
+
 int BsdVm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::Vnode* vn,
                sim::ObjOffset off, const kern::MapAttrs& attrs) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_map");
@@ -383,27 +401,16 @@ int BsdVm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs
   }
 
   MapEntry e;
-  e.start = *addr;
-  e.end = *addr + len;
-  e.prot = sim::Prot::kReadWrite;  // the insecure default (§3.1)
-  e.max_prot = attrs.max_prot;
-  e.advice = sim::Advice::kNormal;
   if (vn != nullptr) {
     e.object = ObjectForVnode(vn);
     e.pgoffset = off >> sim::kPageShift;
-    if (!attrs.shared) {
-      e.copy_on_write = true;
-      e.needs_copy = true;
-      e.eager_shadow = true;  // BSD shadows private mappings on any fault
-    }
-    e.inherit = attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy;
   } else {
     // Zero-fill: BSD VM allocates the anonymous object right away (§5.1).
     e.object = NewObject(len >> sim::kPageShift, /*internal=*/true);
     e.object->ref_count = 1;
-    e.pgoffset = 0;
-    e.inherit = attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy;
   }
+  FillEntry(e, *addr, len, attrs);
+  e.inherit = attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy;
   if (int err = map.InsertEntry(e); err != sim::kOk) {
     map.Unlock();
     DerefObject(e.object);
@@ -457,18 +464,9 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
     return err;
   }
   MapEntry e;
-  e.start = *addr;
-  e.end = *addr + len;
-  e.prot = sim::Prot::kReadWrite;  // the insecure two-step default again
-  e.max_prot = attrs.max_prot;
   e.object = obj;
   RefObject(obj);
-  e.pgoffset = 0;
-  if (!attrs.shared) {
-    e.copy_on_write = true;
-    e.needs_copy = true;
-    e.eager_shadow = true;
-  }
+  FillEntry(e, *addr, len, attrs);
   e.inherit =
       attrs.inherit.value_or(attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy);
   int err = map.InsertEntry(e);

@@ -24,8 +24,10 @@ class Pager;
 // shadowing another object for copy-on-write.
 class VmObject {
  public:
-  explicit VmObject(std::size_t size_pages, bool internal)
-      : size_pages_(size_pages), internal_(internal) {}
+  // `chunk_pool` and `stats` serve the page store (phys::PageStore).
+  VmObject(std::size_t size_pages, bool internal, sim::PoolResource* chunk_pool,
+           sim::Stats* stats)
+      : size_pages_(size_pages), internal_(internal), pages(chunk_pool, stats) {}
 
   VmObject(const VmObject&) = delete;
   VmObject& operator=(const VmObject&) = delete;

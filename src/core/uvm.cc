@@ -218,6 +218,23 @@ phys::Page* Uvm::AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjO
 // ---------------------------------------------------------------------------
 // Mapping operations (§3.1): one locked pass applies every attribute.
 
+namespace {
+
+// The entry fields Map and MapDevice both take from the caller's attributes.
+UvmMapEntry NewEntry(sim::Vaddr start, std::uint64_t len, const kern::MapAttrs& attrs) {
+  UvmMapEntry e;
+  e.start = start;
+  e.end = start + len;
+  e.prot = attrs.prot;
+  e.max_prot = attrs.max_prot;
+  e.advice = attrs.advice;
+  e.copy_on_write = !attrs.shared;
+  e.inherit = attrs.inherit.value_or(attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy);
+  return e;
+}
+
+}  // namespace
+
 int Uvm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::Vnode* vn,
              sim::ObjOffset off, const kern::MapAttrs& attrs) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "uvm_map");
@@ -233,29 +250,16 @@ int Uvm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::
     return err;
   }
 
-  UvmMapEntry e;
-  e.start = *addr;
-  e.end = *addr + len;
-  e.prot = attrs.prot;
-  e.max_prot = attrs.max_prot;
-  e.advice = attrs.advice;
+  UvmMapEntry e = NewEntry(*addr, len, attrs);
   if (vn != nullptr) {
     e.uobj = GetVnodeObject(vn);
     e.uobj_pgoffset = off >> sim::kPageShift;
-    e.copy_on_write = !attrs.shared;
-    e.inherit = attrs.inherit.value_or(attrs.shared ? sim::Inherit::kShared
-                                                    : sim::Inherit::kCopy);
-  } else {
+  } else if (attrs.shared) {
     // Zero-fill: both layers start empty; anons are allocated at fault
     // time (§5.1/§5.2). A shared anonymous mapping needs its amap up front
     // so that fork can share it.
-    e.copy_on_write = !attrs.shared;
-    e.inherit = attrs.inherit.value_or(attrs.shared ? sim::Inherit::kShared
-                                                    : sim::Inherit::kCopy);
-    if (attrs.shared) {
-      e.amap = NewAmap(len >> sim::kPageShift);
-      e.amap->shared = true;
-    }
+    e.amap = NewAmap(len >> sim::kPageShift);
+    e.amap->shared = true;
   }
   UvmMap::iterator ins;
   if (int err = map.InsertEntry(e, &ins); err != sim::kOk) {
@@ -291,17 +295,8 @@ int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& d
     map.Unlock();
     return err;
   }
-  UvmMapEntry e;
-  e.start = *addr;
-  e.end = *addr + len;
-  e.prot = attrs.prot;
-  e.max_prot = attrs.max_prot;
-  e.advice = attrs.advice;
+  UvmMapEntry e = NewEntry(*addr, len, attrs);
   e.uobj = &uobj;
-  e.uobj_pgoffset = 0;
-  e.copy_on_write = !attrs.shared;
-  e.inherit =
-      attrs.inherit.value_or(attrs.shared ? sim::Inherit::kShared : sim::Inherit::kCopy);
   uobj.pgops->Reference(*this, uobj);
   int err = map.InsertEntry(e);
   SIM_ASSERT(err == sim::kOk);
@@ -756,11 +751,7 @@ void Uvm::OnPoison(phys::Page* p) {
 
 int Uvm::ContainPoisonedAnon(Anon* anon) {
   phys::Page* p = anon->page;
-  // Poisoned frames are unmapped at injection unless wired; a wired frame
-  // cannot be unmapped or discarded, so consuming it is fatal (§3.2's
-  // wiring contract meets an uncorrectable error).
-  SIM_ASSERT_MSG(p->wire_count == 0, "EMEMPOISON: poisoned wired anon page is uncontainable");
-  machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
+  kern::BeginPoisonContainment(machine_, p);
   if (p->dirty) {
     // The only up-to-date copy died with the frame: late kill.
     return sim::kErrMemPoison;
@@ -775,9 +766,7 @@ int Uvm::ContainPoisonedAnon(Anon* anon) {
 }
 
 int Uvm::ContainPoisonedObjPage(phys::Page* p) {
-  SIM_ASSERT_MSG(p->wire_count == 0,
-                 "EMEMPOISON: poisoned wired/device object page is uncontainable");
-  machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
+  kern::BeginPoisonContainment(machine_, p);
   if (p->dirty) {
     // An unflushed write died with the frame. Drop the page — the vnode
     // still holds the pre-write contents, so later faults read stale but

@@ -11,10 +11,10 @@
 namespace uvm {
 
 UvmVnode::UvmVnode(Uvm& vm_in, vfs::Vnode* vn_in)
-    : uobj(VnodePagerOps()), vn(vn_in), vm(vm_in) {
+    : uobj(VnodePagerOps(), &vm_in.pagestore_pool(), &vm_in.machine().stats()),
+      vn(vn_in),
+      vm(vm_in) {
   uobj.impl = this;
-  uobj.pages.BindStats(&vm.machine().stats());
-  uobj.pages.BindPool(&vm.pagestore_pool());
 }
 
 namespace {
@@ -178,10 +178,10 @@ class DeviceOps : public PagerOps {
 }  // namespace
 
 UvmDevice::UvmDevice(Uvm& vm_in, kern::DeviceMem* dev_in)
-    : uobj(DevicePagerOps()), dev(dev_in), vm(vm_in) {
+    : uobj(DevicePagerOps(), &vm_in.pagestore_pool(), &vm_in.machine().stats()),
+      dev(dev_in),
+      vm(vm_in) {
   uobj.impl = this;
-  uobj.pages.BindStats(&vm.machine().stats());
-  uobj.pages.BindPool(&vm.pagestore_pool());
   for (std::size_t i = 0; i < dev->pages.size(); ++i) {
     phys::Page* p = dev->pages[i];
     p->owner_kind = phys::OwnerKind::kUvmObject;

@@ -53,7 +53,9 @@ class PagerOps {
 
 class UvmObject {
  public:
-  explicit UvmObject(PagerOps* ops) : pgops(ops) {}
+  // `chunk_pool` and `stats` serve the page store (phys::PageStore).
+  UvmObject(PagerOps* ops, sim::PoolResource* chunk_pool, sim::Stats* stats)
+      : pgops(ops), pages(chunk_pool, stats) {}
 
   UvmObject(const UvmObject&) = delete;
   UvmObject& operator=(const UvmObject&) = delete;

@@ -18,6 +18,11 @@ constexpr sim::Vaddr kHeapBase = 0x6000'0000;
 constexpr sim::Vaddr kScratchBase = 0x6400'0000;
 constexpr sim::Vaddr kFileBase = 0x6800'0000;
 constexpr sim::Vaddr kGuardPages = 4;
+constexpr std::size_t kHeapPages = 32;    // per-worker persistent heap (COW source)
+constexpr std::size_t kScratchSlots = 8;  // per-worker request-arena slots
+constexpr std::size_t kScratchPages = 16;
+constexpr std::size_t kCacheFiles = 24;  // rotating file working set
+constexpr std::size_t kFilePages = 16;
 // The one shared-storm mapping (config.shared_storm): every worker maps the
 // same file at the same fixed address, so all CPUs fault into one map/object.
 constexpr sim::Vaddr kSharedBase = 0x7000'0000;
@@ -29,12 +34,12 @@ std::string CacheFileName(std::size_t i) { return "fleet/cache" + std::to_string
 }  // namespace
 
 FleetWorkload::FleetWorkload(Kernel& kernel, const FleetConfig& config)
-    : kernel_(kernel), config_(config), rng_(config.seed) {
-  SIM_ASSERT(config_.workers > 0 && config_.scratch_slots > 0);
+    : kernel_(kernel), config_(config) {
+  SIM_ASSERT(config_.workers > 0);
   SIM_ASSERT_MSG(config_.cpus >= 1 && config_.cpus <= config_.workers,
                  "fleet: cpus must be in [1, workers] so every cpu has a worker");
-  for (std::size_t i = 0; i < config_.cache_files; ++i) {
-    kernel_.fs().CreateFilePattern(CacheFileName(i), config_.file_pages * sim::kPageSize);
+  for (std::size_t i = 0; i < kCacheFiles; ++i) {
+    kernel_.fs().CreateFilePattern(CacheFileName(i), kFilePages * sim::kPageSize);
   }
   if (config_.shared_storm) {
     kernel_.fs().CreateFilePattern(kSharedFileName, kSharedPages * sim::kPageSize);
@@ -46,10 +51,10 @@ FleetWorkload::FleetWorkload(Kernel& kernel, const FleetConfig& config)
     cpu_workers_[workers_[i].cpu].push_back(i);
   }
   // Per-CPU decision streams: stream c is seeded seed + c*gamma (the
-  // splitmix64 stream-split construction), so stream 0 is exactly the
-  // classic rng_ and higher streams are decorrelated from it.
-  for (std::size_t c = 1; c < config_.cpus; ++c) {
-    cpu_rngs_.emplace_back(config_.seed + 0x9e3779b97f4a7c15ull * c);
+  // splitmix64 stream-split construction), so stream 0 is the single-CPU
+  // stream and higher streams are decorrelated from it.
+  for (std::size_t c = 0; c < config_.cpus; ++c) {
+    rngs_.emplace_back(config_.seed + 0x9e3779b97f4a7c15ull * c);
   }
   kernel_.machine().scheduler().Configure(config_.cpus, config_.seed);
   // Schedule fuzzing (DESIGN.md §17): a non-default spec replaces the
@@ -64,10 +69,6 @@ FleetWorkload::FleetWorkload(Kernel& kernel, const FleetConfig& config)
   }
 }
 
-sim::Rng& FleetWorkload::CpuRng(std::size_t cpu) {
-  return cpu == 0 ? rng_ : cpu_rngs_[cpu - 1];
-}
-
 bool FleetWorkload::Op(int err) {
   ++counters_.ops;
   if (err == sim::kOk) {
@@ -78,19 +79,19 @@ bool FleetWorkload::Op(int err) {
 }
 
 sim::Vaddr FleetWorkload::SlotBase(std::size_t slot) const {
-  return kScratchBase + slot * (config_.scratch_pages + kGuardPages) * sim::kPageSize;
+  return kScratchBase + slot * (kScratchPages + kGuardPages) * sim::kPageSize;
 }
 
 void FleetWorkload::SpawnWorker(Worker& w) {
   w.proc = kernel_.Spawn(w.cpu);
   w.heap = kHeapBase;
-  w.slot_mapped.assign(config_.scratch_slots, false);
+  w.slot_mapped.assign(kScratchSlots, false);
   w.shared_mapped = false;  // a respawned worker remaps the storm target
   ++counters_.ops;  // spawn
   MapAttrs attrs;
-  if (Op(kernel_.MmapAnon(w.proc, &w.heap, config_.heap_pages * sim::kPageSize, attrs))) {
+  if (Op(kernel_.MmapAnon(w.proc, &w.heap, kHeapPages * sim::kPageSize, attrs))) {
     // Dirty the low half so later forks have COW state to copy.
-    for (std::size_t pg = 0; pg < config_.heap_pages / 2; ++pg) {
+    for (std::size_t pg = 0; pg < kHeapPages / 2; ++pg) {
       Op(kernel_.TouchWrite(w.proc, w.heap + pg * sim::kPageSize, 1, std::byte{0x5f}));
     }
   }
@@ -123,9 +124,9 @@ FleetWorkload::Worker& FleetWorkload::PickWorker(std::size_t cpu, sim::Rng& rng)
 // writes), consult a few hot heap pages, then tear the arena down. Roughly
 // what a forked server worker does per connection.
 void FleetWorkload::RequestBurst(Worker& w, sim::Rng& rng) {
-  const std::size_t slot = rng.Below(config_.scratch_slots);
+  const std::size_t slot = rng.Below(kScratchSlots);
   sim::Vaddr base = SlotBase(slot);
-  const std::uint64_t bytes = config_.scratch_pages * sim::kPageSize;
+  const std::uint64_t bytes = kScratchPages * sim::kPageSize;
   if (w.slot_mapped[slot]) {
     w.slot_mapped[slot] = false;
     if (!Op(kernel_.Munmap(w.proc, base, bytes))) {
@@ -137,14 +138,14 @@ void FleetWorkload::RequestBurst(Worker& w, sim::Rng& rng) {
     return;
   }
   w.slot_mapped[slot] = true;
-  const std::size_t touched = rng.Range(2, config_.scratch_pages);
+  const std::size_t touched = rng.Range(2, kScratchPages);
   for (std::size_t pg = 0; pg < touched; ++pg) {
     if (!Op(kernel_.TouchWrite(w.proc, base + pg * sim::kPageSize, 1, std::byte{0xa7}))) {
       break;
     }
   }
   for (int i = 0; i < 3; ++i) {
-    sim::Vaddr hot = w.heap + rng.Below(config_.heap_pages / 2) * sim::kPageSize;
+    sim::Vaddr hot = w.heap + rng.Below(kHeapPages / 2) * sim::kPageSize;
     Op(kernel_.TouchRead(w.proc, hot, 1));
   }
   // Most requests release the arena immediately; a few keep it mapped so
@@ -160,14 +161,14 @@ void FleetWorkload::RequestBurst(Worker& w, sim::Rng& rng) {
 // it, occasionally write it back, unmap. With more files than cached
 // vnodes this recycles vnodes and their object/pager metadata every cycle.
 void FleetWorkload::CacheChurn(Worker& w, sim::Rng& rng) {
-  const std::size_t file = rng.Below(config_.cache_files);
+  const std::size_t file = rng.Below(kCacheFiles);
   sim::Vaddr base = kFileBase;
-  const std::uint64_t bytes = config_.file_pages * sim::kPageSize;
+  const std::uint64_t bytes = kFilePages * sim::kPageSize;
   MapAttrs attrs;
   if (!Op(kernel_.Mmap(w.proc, &base, bytes, CacheFileName(file), 0, attrs))) {
     return;
   }
-  const std::size_t scanned = rng.Range(1, config_.file_pages);
+  const std::size_t scanned = rng.Range(1, kFilePages);
   for (std::size_t pg = 0; pg < scanned; ++pg) {
     if (!Op(kernel_.TouchRead(w.proc, base + pg * sim::kPageSize, 1))) {
       break;
@@ -192,9 +193,9 @@ void FleetWorkload::BuildStorm(Worker& w, sim::Rng& rng) {
     return;
   }
   ++counters_.forks;
-  const std::size_t writes = rng.Range(2, config_.heap_pages / 2);
+  const std::size_t writes = rng.Range(2, kHeapPages / 2);
   for (std::size_t i = 0; i < writes; ++i) {
-    sim::Vaddr va = w.heap + rng.Below(config_.heap_pages / 2) * sim::kPageSize;
+    sim::Vaddr va = w.heap + rng.Below(kHeapPages / 2) * sim::kPageSize;
     if (!Op(kernel_.TouchWrite(child, va, 1, std::byte{0xb4}))) {
       break;
     }
@@ -250,7 +251,7 @@ const FleetCounters& FleetWorkload::Run() {
     // makes every decision, so per-CPU sequences are independent of how
     // turns interleave. Single-CPU worlds: cpu 0, the classic stream.
     const std::size_t cpu = scheduler.NextTurnCpu();
-    sim::Rng& rng = CpuRng(cpu);
+    sim::Rng& rng = rngs_[cpu];
     Worker& w = PickWorker(cpu, rng);
     if (w.proc == nullptr || !w.proc->alive) {
       continue;  // spawn itself failed under pressure; retry another worker

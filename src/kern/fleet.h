@@ -44,11 +44,6 @@ struct FleetConfig {
   // i % cpus, forked children inherit it). Must be <= workers so every CPU
   // has at least one worker. 1 = the classic single-CPU world.
   std::size_t cpus = 1;
-  std::size_t heap_pages = 32;    // per-worker persistent heap (COW source)
-  std::size_t scratch_slots = 8;  // per-worker request-arena slots
-  std::size_t scratch_pages = 16;
-  std::size_t cache_files = 24;  // rotating file working set
-  std::size_t file_pages = 16;
   // Schedule-fuzzing strategy (DESIGN.md §17). The default (round-robin,
   // seed 0) leaves the scheduler exactly as Configure() set it, so classic
   // runs stay byte-identical; any other spec is installed after Configure
@@ -94,9 +89,6 @@ class FleetWorkload {
 
   // One kernel call issued (bumps the op budget); true when it succeeded.
   bool Op(int err);
-  // The decision stream for `cpu`: stream 0 is the classic rng_, so
-  // single-CPU runs replay the pre-SMP sequence bit for bit.
-  sim::Rng& CpuRng(std::size_t cpu);
   Worker& PickWorker(std::size_t cpu, sim::Rng& rng);
   void SpawnWorker(Worker& w);
   void ReleaseWorker(Worker& w);
@@ -111,8 +103,7 @@ class FleetWorkload {
   Kernel& kernel_;
   FleetConfig config_;
   FleetCounters counters_;
-  sim::Rng rng_;                    // CPU 0's decision stream
-  std::vector<sim::Rng> cpu_rngs_;  // streams for CPUs 1..cpus-1
+  std::vector<sim::Rng> rngs_;  // one decision stream per CPU
   std::vector<Worker> workers_;
   // Worker indices per CPU: cpu_workers_[c] lists the workers pinned to c.
   std::vector<std::vector<std::size_t>> cpu_workers_;

@@ -168,6 +168,14 @@ class Kernel {
   bool oom_killer() const { return oom_killer_enabled_; }
 
  private:
+  // Every system call on `p` goes through here: call() runs on p's CPU, or
+  // a killed p gets the error it was killed with.
+  template <typename Fn>
+  int Syscall(Proc* p, Fn&& call);
+  // Sysctl's and Physio's bracket (§3.2): wire [buf, buf+len) on the kernel
+  // stack, run copy(), unwire. A process killed meanwhile gets kErrNoMem.
+  template <typename Fn>
+  int WithWiredBuffer(Proc* p, sim::Vaddr buf, std::uint64_t len, Fn&& copy);
   int Access(Proc* p, sim::Vaddr va, std::uint64_t len, bool write, std::byte* buf,
              std::byte fill, bool use_fill);
 

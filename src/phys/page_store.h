@@ -8,13 +8,11 @@
 // ascending page-index order — terminate/flush paths build clustered I/O
 // runs from that order and the deterministic stats dumps depend on it.
 // Page lookups carry no virtual-time charge (they never did); the
-// structure only buys host time. Probes are counted in
-// sim::Stats::pagestore_lookups when a stats block is bound.
+// structure only buys host time. Probes are counted in the stats block
+// given at construction (sim::Stats::pagestore_lookups).
 //
 // Chunks (the 4 KB leaves) are slab-allocated from the owning VM's
-// PoolResource once BindPool is called; chunks allocated before binding
-// (or without a pool at all) fall back to the heap, and each chunk
-// remembers its origin so mixed populations tear down correctly.
+// PoolResource, also given at construction.
 #ifndef SRC_PHYS_PAGE_STORE_H_
 #define SRC_PHYS_PAGE_STORE_H_
 
@@ -49,7 +47,6 @@ class PageStore {
     // over empty slots a word at a time.
     std::array<std::uint64_t, kWords> occupied{};
     std::uint32_t live = 0;
-    bool pooled = false;  // allocation origin (slab vs heap fallback)
 
     void Set(std::uint64_t slot) { occupied[slot / kWordBits] |= Bit(slot); }
     void Clear(std::uint64_t slot) { occupied[slot / kWordBits] &= ~Bit(slot); }
@@ -119,7 +116,8 @@ class PageStore {
     value_type cur_{};
   };
 
-  PageStore() = default;
+  // `pool` and `stats` must outlive the store.
+  PageStore(sim::PoolResource* pool, sim::Stats* stats) : stats_(stats), pool_(pool) {}
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
@@ -128,10 +126,6 @@ class PageStore {
       FreeChunk(c);
     }
   }
-
-  void BindStats(sim::Stats* stats) { stats_ = stats; }
-  // Chunks allocated from here on come from `pool` (must outlive the store).
-  void BindPool(sim::PoolResource* pool) { pool_ = pool; }
 
   Page* Lookup(std::uint64_t pgindex) const {
     CountLookup();
@@ -219,11 +213,7 @@ class PageStore {
  private:
   static constexpr std::uint64_t kNoChunk = ~0ull;
 
-  void CountLookup() const {
-    if (stats_ != nullptr) {
-      ++stats_->pagestore_lookups;
-    }
-  }
+  void CountLookup() const { ++stats_->pagestore_lookups; }
 
   const Chunk* FindChunk(std::uint64_t key) const {
     if (key == hint_key_) {
@@ -248,28 +238,17 @@ class PageStore {
     return *it->second;
   }
 
-  Chunk* AllocChunk() {
-    if (pool_ != nullptr) {
-      auto* c = new (pool_->Allocate(sizeof(Chunk))) Chunk{};
-      c->pooled = true;
-      return c;
-    }
-    return new Chunk{};
-  }
+  Chunk* AllocChunk() { return new (pool_->Allocate(sizeof(Chunk))) Chunk{}; }
 
   void FreeChunk(Chunk* c) {
-    if (c->pooled) {
-      c->~Chunk();
-      pool_->Deallocate(c, sizeof(Chunk));
-    } else {
-      delete c;
-    }
+    c->~Chunk();
+    pool_->Deallocate(c, sizeof(Chunk));
   }
 
   Dir chunks_;
   std::size_t size_ = 0;
-  sim::Stats* stats_ = nullptr;
-  sim::PoolResource* pool_ = nullptr;
+  sim::Stats* stats_;
+  sim::PoolResource* pool_;
   // Last-chunk cache: valid while the chunk exists (erase invalidates).
   mutable std::uint64_t hint_key_ = kNoChunk;
   mutable const Chunk* hint_chunk_ = nullptr;

@@ -1,6 +1,7 @@
 // Human-readable reporting of a machine's statistics counters — the
-// simulator's equivalent of vmstat(1). Used by examples and benches and
-// handy when debugging a failing scenario.
+// simulator's equivalent of vmstat(1). ReportStats prints the trace_replay
+// example's stats and ReportLockTable bench_fleet's `--locks` table; both
+// are handy when debugging a failing scenario.
 #ifndef SRC_SIM_REPORT_H_
 #define SRC_SIM_REPORT_H_
 

@@ -72,8 +72,9 @@ struct Stats {
   std::uint64_t lock_hold_ns = 0;
   // SMP contention (DESIGN.md §16): acquires that paid queueing delay and
   // the total delay charged. Always zero in single-CPU worlds; not printed
-  // by ReportStats (the per-class lock table reports them) so the eight
-  // paper benches stay byte-identical.
+  // by ReportStats (the per-class lock table reports them), so the
+  // trace_replay example's stdout, which BENCH_fleet_chaos.sha256 hashes,
+  // stays byte-identical.
   std::uint64_t lock_contended_acquires = 0;
   std::uint64_t lock_wait_ns = 0;
 

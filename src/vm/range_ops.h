@@ -2,7 +2,7 @@
 // entry and its final pmap enter, the unmap walk, the mprotect, minherit,
 // madvise, mlock and munlock range walks, the mincore lookup loop and the
 // msync / MADV_FREE overlap walk, plus device-frame teardown and the
-// poison-refetch count. Each walk runs over either VM's sim::AddrMap; the
+// poison-containment prologue and refetch count. Each walk runs over either VM's sim::AddrMap; the
 // per-VM parts come in as callables: ref(entry) takes the references a clip
 // adds (amap + uobj for UVM, the object for BSD VM), resolve(entry, va,
 // write) is the VM's own fault resolution, take(entry) collects what an
@@ -282,6 +282,15 @@ inline void FreeDeviceFrames(mmu::MmuContext& mmu, phys::PhysMem& pm, phys::Page
     pm.Dequeue(p);
     pm.FreePage(p);
   }
+}
+
+// Every containment of a poisoned page starts here. Poisoned frames are
+// unmapped at injection unless wired, and a wired frame can be neither
+// unmapped nor discarded, so consuming one is fatal (§3.2's wiring contract
+// meets an uncorrectable error).
+inline void BeginPoisonContainment(sim::Machine& machine, const phys::Page* p) {
+  SIM_ASSERT_MSG(p->wire_count == 0, "EMEMPOISON: poisoned wired page is uncontainable");
+  machine.Charge(sim::CostCat::kPoison, machine.cost().poison_contain_ns);
 }
 
 // A fault discarded a clean poisoned page; its backing copy (swap slot,

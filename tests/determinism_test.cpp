@@ -12,6 +12,7 @@
 #include "src/harness/world.h"
 #include "src/kern/workloads.h"
 #include "src/sim/report.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -160,8 +161,6 @@ TEST_P(DeterminismTest, FileAndDevicePathsAreSeedStable) {
 
 INSTANTIATE_TEST_SUITE_P(BothVms, DeterminismTest,
                          ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return std::string(harness::VmKindName(param_info.param));
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -65,9 +66,7 @@ TEST_P(MadvFreeTest, DoesNotTouchSharedCowMemory) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, MadvFreeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 class MincoreTest : public ::testing::TestWithParam<VmKind> {};
 
@@ -144,9 +143,7 @@ TEST_P(MincoreTest, UnmappedRangeFails) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, MincoreTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 class VforkTest : public ::testing::TestWithParam<VmKind> {};
 
@@ -190,9 +187,7 @@ TEST_P(VforkTest, VforkIsMuchCheaperThanFork) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, VforkTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 TEST(SwapInClusterTest, ClusteredSwapInUsesFewerOperations) {
   auto swap_in_ops = [](bool cluster) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -409,8 +410,6 @@ TEST(PartialUnmapTest, UvmFreesAnonsOnPartialUnmapBsdCannot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, FailureTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

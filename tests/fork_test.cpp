@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -223,8 +224,6 @@ TEST_P(ForkTest, FileMappingsInheritedCopyOnWrite) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, ForkTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

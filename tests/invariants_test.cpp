@@ -6,6 +6,7 @@
 #include "src/harness/world.h"
 #include "src/kern/workloads.h"
 #include "src/sim/rng.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -123,8 +124,6 @@ TEST_P(ConservationTest, QueueAccountingSumsToTotal) {
 
 INSTANTIATE_TEST_SUITE_P(BothVms, ConservationTest,
                          ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

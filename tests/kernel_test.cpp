@@ -5,6 +5,7 @@
 
 #include "src/harness/world.h"
 #include "src/kern/workloads.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -123,9 +124,7 @@ TEST_P(KernelTest, ExitReleasesTransientWiringsLeftByBugs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, KernelTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 // --- Workload machinery ---
 
@@ -173,8 +172,6 @@ TEST_P(WorkloadTest, BootScriptsLeaveProcessesRunning) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, WorkloadTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -250,8 +251,6 @@ TEST_P(MapTest, EntryCountTracksMappings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, MapTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

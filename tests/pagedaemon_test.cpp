@@ -8,6 +8,7 @@
 
 #include "src/harness/world.h"
 #include "src/phys/pagedaemon.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -229,9 +230,7 @@ TEST_P(DaemonTest, RepagingDirtiedSwappedPageReusesCycle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, DaemonTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 TEST(DaemonClusteringTest, UvmClustersAnonPageoutBsdDoesNot) {
   auto ops_for = [](VmKind kind) {

@@ -232,8 +232,6 @@ TEST_F(PhysTest, DistinctFramesHaveDistinctStorage) {
 
 // --- PageStore against std::map, the structure it replaced ---
 
-enum class Bind { kNever, kFirst, kLate };
-
 // A seeded random mix of every PageStore mutation and lookup, each run on a
 // std::map as well; size and ascending iteration must agree after every op.
 // Two keys in five sit at and around 2 MB chunk boundaries, at the 64-bit
@@ -241,11 +239,9 @@ enum class Bind { kNever, kFirst, kLate };
 // two in five fall in one dense chunk filled up front, which stays about
 // half full and so is never freed; the rest fall in one sparse chunk, whose
 // mutations only touch a few seeded offsets, so iteration, lower_bound and
-// erase through an iterator must jump across empty bitmap words. `bind`
-// says when the store starts taking chunks from a pool: never, before the
-// first op, or halfway through, when the dense chunk and others already
-// came from the heap.
-void CheckPageStoreAgainstMap(Bind bind) {
+// erase through an iterator must jump across empty bitmap words. Every
+// chunk comes from the pool and goes back to it.
+TEST(PageStoreTest, MatchesStdMapPooled) {
   constexpr std::uint64_t kChunk = phys::PageStore::kChunkPages;
   constexpr std::uint64_t kDense = 5 * kChunk;
   constexpr std::uint64_t kSparse = 9 * kChunk;
@@ -267,10 +263,11 @@ void CheckPageStoreAgainstMap(Bind bind) {
     sparse.push_back(kSparse + rng.Below(kChunk));
   }
   sim::PoolResource pool("test.pagestore");
+  sim::Stats stats;
   {
     using Ref = std::map<std::uint64_t, phys::Page*>;
     using Entries = std::vector<std::pair<std::uint64_t, phys::Page*>>;
-    phys::PageStore store;
+    phys::PageStore store(&pool, &stats);
     Ref ref;
     auto same = [&](phys::PageStore::const_iterator it, Ref::const_iterator want) {
       if (want == ref.end()) {
@@ -278,9 +275,6 @@ void CheckPageStoreAgainstMap(Bind bind) {
       }
       return it != store.end() && it->first == want->first && it->second == want->second;
     };
-    if (bind == Bind::kFirst) {
-      store.BindPool(&pool);
-    }
     for (std::uint64_t k = kDense; k < kDense + kChunk; ++k) {
       store.emplace(k, &pages[0]);
       ref.emplace(k, &pages[0]);
@@ -290,9 +284,6 @@ void CheckPageStoreAgainstMap(Bind bind) {
       ref[k] = &pages[1];
     }
     for (std::size_t op = 0; op < kOps; ++op) {
-      if (bind == Bind::kLate && op == kOps / 2) {
-        store.BindPool(&pool);
-      }
       const std::uint64_t kind = rng.Below(7);
       const bool mutates = kind <= 3;
       std::uint64_t key;
@@ -351,29 +342,9 @@ void CheckPageStoreAgainstMap(Bind bind) {
     for (const auto& [key, page] : ref) {
       chunks.insert(key >> phys::PageStore::kChunkShift);
     }
-    const std::uint64_t live = pool.stats().live;
-    switch (bind) {
-      case Bind::kNever:
-        EXPECT_EQ(0u, pool.stats().allocs);
-        break;
-      case Bind::kFirst:
-        EXPECT_EQ(chunks.size(), live);
-        break;
-      case Bind::kLate:  // both origins live at teardown
-        EXPECT_GT(live, 0u);
-        EXPECT_LT(live, chunks.size());
-        break;
-    }
+    EXPECT_EQ(chunks.size(), pool.stats().live);
   }
-  EXPECT_EQ(0u, pool.stats().live);  // every pooled chunk went back to the pool
-}
-
-TEST(PageStoreTest, MatchesStdMapUnpooled) { CheckPageStoreAgainstMap(Bind::kNever); }
-
-TEST(PageStoreTest, MatchesStdMapPooled) { CheckPageStoreAgainstMap(Bind::kFirst); }
-
-TEST(PageStoreTest, MatchesStdMapWithPoolBoundAfterChunksExist) {
-  CheckPageStoreAgainstMap(Bind::kLate);
+  EXPECT_EQ(0u, pool.stats().live);  // every chunk went back to the pool
 }
 
 }  // namespace

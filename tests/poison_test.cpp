@@ -194,14 +194,49 @@ TEST_P(PoisonVmTest, ZombieShellObservesTheKillOnEverySyscall) {
   ASSERT_FALSE(p->alive);
   // The Proc* is a zombie shell (as == nullptr). Every further syscall on
   // it must report why the process died, not dereference the freed space.
-  EXPECT_EQ(sim::kErrMemPoison, w.kernel->TouchWrite(p, a, 1, std::byte{0x1}));
-  EXPECT_EQ(sim::kErrMemPoison, w.kernel->TouchRead(p, a, 1));
+  const std::uint64_t n = sim::kPageSize;
+  const int dead = sim::kErrMemPoison;
+  std::vector<std::byte> buf(n);
+  std::vector<bool> resident;
   sim::Vaddr b = 0;
-  EXPECT_EQ(sim::kErrMemPoison, w.kernel->MmapAnon(p, &b, sim::kPageSize, kern::MapAttrs{}));
-  EXPECT_EQ(sim::kErrMemPoison, w.kernel->Munmap(p, a, sim::kPageSize));
-  EXPECT_EQ(sim::kErrMemPoison, w.kernel->Msync(p, a, sim::kPageSize));
+  EXPECT_EQ(dead, w.kernel->TouchWrite(p, a, 1, std::byte{0x1}));
+  EXPECT_EQ(dead, w.kernel->TouchRead(p, a, 1));
+  EXPECT_EQ(dead, w.kernel->ReadMem(p, a, buf));
+  EXPECT_EQ(dead, w.kernel->WriteMem(p, a, buf));
+  w.fs.CreateFilePattern("/f", n);
+  EXPECT_EQ(dead, w.kernel->Mmap(p, &b, n, "/f", 0, kern::MapAttrs{}));
+  EXPECT_EQ(dead, w.kernel->MmapAnon(p, &b, n, kern::MapAttrs{}));
+  EXPECT_EQ(dead, w.kernel->Munmap(p, a, n));
+  EXPECT_EQ(dead, w.kernel->Mprotect(p, a, n, sim::Prot::kRead));
+  EXPECT_EQ(dead, w.kernel->Minherit(p, a, n, sim::Inherit::kShared));
+  EXPECT_EQ(dead, w.kernel->Madvise(p, a, n, sim::Advice::kRandom));
+  EXPECT_EQ(dead, w.kernel->Msync(p, a, n));
+  EXPECT_EQ(dead, w.kernel->Mlock(p, a, n));
+  EXPECT_EQ(dead, w.kernel->Munlock(p, a, n));
+  EXPECT_EQ(dead, w.kernel->MadvFree(p, a, n));
+  EXPECT_EQ(dead, w.kernel->Mincore(p, a, n, &resident));
+  EXPECT_EQ(dead, w.kernel->Sysctl(p, a, n));
+  EXPECT_EQ(dead, w.kernel->Physio(p, a, n, /*is_write=*/true));
+  EXPECT_EQ(dead, w.kernel->SocketSendCopy(p, a, n));
+  EXPECT_EQ(dead, w.kernel->SocketSendLoan(p, a, n));
+  EXPECT_EQ(dead, w.kernel->MmapDevice(p, &b, w.kernel->RegisterDevice("/dev/fb", 1), {}));
+  int shmid = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->ShmCreate(1, &shmid));
+  EXPECT_EQ(dead, w.kernel->ShmAttach(p, shmid, &b));
+  EXPECT_EQ(dead, w.kernel->ShmDetach(p, shmid, a));
+  // Two-process calls observe the kill on either side.
+  kern::Proc* q = w.kernel->Spawn();
+  sim::Vaddr c = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(q, &c, n, kern::MapAttrs{}));
+  for (auto [src, dst] : {std::pair{p, q}, std::pair{q, p}}) {
+    sim::Vaddr va = src == p ? a : c;
+    EXPECT_EQ(dead, w.kernel->PageTransfer(src, va, n, dst, &b));
+    EXPECT_EQ(dead, w.kernel->ExtractRange(src, va, n, dst, &b, kern::ExtractMode::kShare));
+  }
   EXPECT_EQ(nullptr, w.kernel->Fork(p));
+  EXPECT_EQ(nullptr, w.kernel->Vfork(p));
   EXPECT_EQ(1u, w.machine.stats().poison_kills);
+  w.kernel->Exit(q);
   // Exit on the zombie reaps the shell (the ASan suite would catch a
   // double teardown at World destruction); the machine still audits clean.
   w.kernel->Exit(p);

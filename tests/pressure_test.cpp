@@ -14,6 +14,7 @@
 #include "src/harness/world.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/pressure.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -357,8 +358,6 @@ TEST_P(PressureTest, DisarmedKillerSurfacesTypedErrorInstead) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, PressureTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

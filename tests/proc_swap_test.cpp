@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -71,8 +72,6 @@ TEST_P(ProcSwapTest, SwappedProcessStillRunsAfterSwapIn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, ProcSwapTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -1,39 +1,21 @@
 // Property-based tests: long random sequences of VM operations (mmap,
 // munmap, mprotect, fork, exit, writes, reads, sysctl, mlock, pagedaemon
-// pressure) run against a flat reference model of every process's address
-// space. After every read the observed byte must match the model; VM
-// invariants are checked periodically. Parameterized over both systems and
-// several seeds.
+// pressure) checked against the reference model (tests/ref_model.h). Every
+// read must return the model's page, byte for byte; VM invariants are
+// checked periodically. Parameterized over both systems and several seeds.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "src/harness/world.h"
 #include "src/sim/rng.h"
+#include "tests/ref_model.h"
 
 namespace {
 
 using harness::VmKind;
 using harness::World;
 using harness::WorldConfig;
-
-// Reference model of one page of one process's address space.
-struct PageModel {
-  std::byte value{0};
-  bool writable = true;
-};
-
-// Per-process model: page-aligned va -> PageModel. COW semantics make each
-// process's view independent for private anonymous memory, which is what
-// the model captures; fork simply copies the map.
-using ProcModel = std::map<sim::Vaddr, PageModel>;
-
-struct ModelProc {
-  kern::Proc* proc;
-  ProcModel pages;
-};
 
 class PropertyTest : public ::testing::TestWithParam<std::tuple<VmKind, std::uint64_t>> {};
 
@@ -44,114 +26,57 @@ TEST_P(PropertyTest, RandomOpsMatchReferenceModel) {
   cfg.swap_slots = 16384;
   World w(kind, cfg);
   sim::Rng rng(seed);
+  refmodel::Model m(w);
+  ASSERT_TRUE(m.Spawn());
 
-  std::vector<ModelProc> procs;
-  procs.push_back(ModelProc{w.kernel->Spawn(), {}});
-
-  constexpr int kOps = 1200;
-  constexpr std::size_t kMaxProcs = 6;
-
-  auto random_mapped_page = [&](ModelProc& mp) -> std::optional<sim::Vaddr> {
-    if (mp.pages.empty()) {
-      return std::nullopt;
-    }
-    auto it = mp.pages.begin();
-    std::advance(it, static_cast<long>(rng.Below(mp.pages.size())));
-    return it->first;
-  };
-
-  for (int op = 0; op < kOps; ++op) {
-    ModelProc& mp = procs[rng.Below(procs.size())];
+  for (int op = 0; op < 1200; ++op) {
+    refmodel::Space& s = m.procs[rng.Below(m.procs.size())];
     switch (rng.Below(12)) {
-      case 0: {  // mmap a fresh anonymous region
-        std::uint64_t npages = rng.Range(1, 16);
-        sim::Vaddr addr = 0;
-        int err = w.kernel->MmapAnon(mp.proc, &addr, npages * sim::kPageSize, kern::MapAttrs{});
-        ASSERT_EQ(sim::kOk, err);
-        for (std::uint64_t i = 0; i < npages; ++i) {
-          mp.pages[addr + i * sim::kPageSize] = PageModel{};
+      case 0:  // mmap a fresh anonymous region
+        ASSERT_TRUE(m.MmapAnon(s, rng.Range(1, 16)));
+        break;
+      case 1:  // munmap a random subrange
+        if (auto va = m.PickPage(s, rng)) {
+          ASSERT_TRUE(m.Munmap(s, *va, rng.Range(1, 4)));
         }
         break;
-      }
-      case 1: {  // munmap a random subrange
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
-        }
-        std::uint64_t npages = rng.Range(1, 4);
-        ASSERT_EQ(sim::kOk, w.kernel->Munmap(mp.proc, *va, npages * sim::kPageSize));
-        for (std::uint64_t i = 0; i < npages; ++i) {
-          mp.pages.erase(*va + i * sim::kPageSize);
-        }
-        break;
-      }
       case 2:
       case 3:
-      case 4: {  // write one page
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
-        }
-        auto fill = static_cast<std::byte>(rng.Below(256));
-        int err = w.kernel->TouchWrite(mp.proc, *va, 1, fill);
-        PageModel& pg = mp.pages[*va];
-        if (pg.writable) {
-          ASSERT_EQ(sim::kOk, err) << "write to writable page failed";
-          pg.value = fill;
-        } else {
-          ASSERT_EQ(sim::kErrProt, err) << "write to read-only page succeeded";
+      case 4:  // write one byte, refused by a read-only page
+        if (auto va = m.PickPage(s, rng)) {
+          ASSERT_TRUE(m.Write(s, *va, static_cast<std::byte>(rng.Below(256))));
         }
         break;
-      }
       case 5:
       case 6:
-      case 7: {  // read-verify one page
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
+      case 7:
+        if (auto va = m.PickPage(s, rng)) {
+          ASSERT_TRUE(m.Check(s, *va));
         }
-        std::vector<std::byte> b(1);
-        ASSERT_EQ(sim::kOk, w.kernel->ReadMem(mp.proc, *va, b));
-        ASSERT_EQ(mp.pages[*va].value, b[0]) << "mismatch at " << std::hex << *va;
         break;
-      }
-      case 8: {  // mprotect toggle
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
+      case 8:
+        if (auto va = m.PickPage(s, rng)) {
+          ASSERT_TRUE(m.ToggleProt(s, *va));
         }
-        PageModel& pg = mp.pages[*va];
-        sim::Prot prot = pg.writable ? sim::Prot::kRead : sim::Prot::kReadWrite;
-        ASSERT_EQ(sim::kOk, w.kernel->Mprotect(mp.proc, *va, sim::kPageSize, prot));
-        pg.writable = !pg.writable;
         break;
-      }
-      case 9: {  // fork
-        if (procs.size() >= kMaxProcs) {
-          break;
+      case 9:
+        if (m.procs.size() < 6) {
+          ASSERT_TRUE(m.Fork(s));
         }
-        kern::Proc* child = w.kernel->Fork(mp.proc);
-        procs.push_back(ModelProc{child, mp.pages});  // COW: child copies view
         break;
-      }
-      case 10: {  // exit (keep at least one process)
-        if (procs.size() <= 1) {
-          break;
+      case 10:  // exit (keep at least one process)
+        if (m.procs.size() > 1) {
+          m.Exit(rng.Below(m.procs.size()));
         }
-        std::size_t idx = rng.Below(procs.size());
-        w.kernel->Exit(procs[idx].proc);
-        procs.erase(procs.begin() + static_cast<long>(idx));
         break;
-      }
       case 11: {  // kernel services and memory pressure
-        auto va = random_mapped_page(mp);
-        if (va.has_value() && mp.pages[*va].writable) {
+        auto va = m.PickPage(s, rng);
+        if (va.has_value() && s.pages.at(*va).writable) {
           if (rng.Chance(1, 2)) {
-            ASSERT_EQ(sim::kOk, w.kernel->Sysctl(mp.proc, *va, sim::kPageSize));
-            mp.pages[*va].value = std::byte{0x5c};  // sysctl fills the buffer
+            ASSERT_TRUE(m.Sysctl(s, *va));
           } else {
-            ASSERT_EQ(sim::kOk, w.kernel->Mlock(mp.proc, *va, sim::kPageSize));
-            ASSERT_EQ(sim::kOk, w.kernel->Munlock(mp.proc, *va, sim::kPageSize));
+            ASSERT_EQ(sim::kOk, w.kernel->Mlock(s.proc, *va, sim::kPageSize));
+            ASSERT_EQ(sim::kOk, w.kernel->Munlock(s.proc, *va, sim::kPageSize));
           }
         }
         if (rng.Chance(1, 4)) {
@@ -164,15 +89,7 @@ TEST_P(PropertyTest, RandomOpsMatchReferenceModel) {
       w.CheckInvariants();
     }
   }
-
-  // Final sweep: every mapped page of every process must match the model.
-  for (ModelProc& mp : procs) {
-    for (const auto& [va, pg] : mp.pages) {
-      std::vector<std::byte> b(1);
-      ASSERT_EQ(sim::kOk, w.kernel->ReadMem(mp.proc, va, b));
-      ASSERT_EQ(pg.value, b[0]) << "final sweep mismatch at " << std::hex << va;
-    }
-  }
+  ASSERT_TRUE(m.CheckAll());
   w.CheckInvariants();
 }
 
@@ -180,10 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, PropertyTest,
     ::testing::Combine(::testing::Values(VmKind::kBsd, VmKind::kUvm),
                        ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull, 8ull)),
-    [](const ::testing::TestParamInfo<std::tuple<VmKind, std::uint64_t>>& param_info) {
-      return std::string(harness::VmKindName(std::get<0>(param_info.param))) + "_seed" +
-             std::to_string(std::get<1>(param_info.param));
-    });
+    refmodel::VmSeedName);
 
 // A second property: the same op stream must leave BOTH systems with
 // byte-identical user-visible memory (they implement the same semantics).

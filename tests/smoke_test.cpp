@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -162,8 +163,6 @@ TEST_P(SmokeTest, ProtectionEnforced) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, SmokeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -1,35 +1,26 @@
 // Integrity soak under injected I/O faults: randomized anonymous-memory
 // workloads (mmap, write, read-verify, fork, exit, pagedaemon pressure) run
 // on both VM systems while the fault injector fails swap I/O underneath the
-// pagers. The workload is checked against a flat reference model — every
-// read, and a final byte-exact sweep — and VM invariants are verified
-// throughout, so any recovery path that corrupts or loses a page fails the
-// test. Everything is driven by seeded RNGs and the virtual clock, so each
-// scenario (including the fault sequence) is exactly reproducible.
+// pagers. The workload is checked against the reference model
+// (tests/ref_model.h) — every read, and a final whole-page sweep — and VM
+// invariants are verified throughout, so any recovery path that corrupts or
+// loses a page fails the test. Everything is driven by seeded RNGs and the
+// virtual clock, so each scenario (including the fault sequence) is exactly
+// reproducible.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <optional>
 #include <sstream>
-#include <vector>
 
 #include "src/harness/dump.h"
 #include "src/harness/world.h"
 #include "src/sim/rng.h"
+#include "tests/ref_model.h"
 
 namespace {
 
 using harness::VmKind;
 using harness::World;
 using harness::WorldConfig;
-
-// Per-process reference model: page-aligned va -> first byte of the page.
-using ProcModel = std::map<sim::Vaddr, std::byte>;
-
-struct ModelProc {
-  kern::Proc* proc;
-  ProcModel pages;
-};
 
 // Counters compared between runs for the determinism property.
 struct SoakOutcome {
@@ -61,97 +52,50 @@ SoakOutcome RunSoak(VmKind kind, const sim::FaultPlan& plan, std::uint64_t seed)
   w.machine.faults().Reseed(seed * 0x9e37 + 1);
   w.machine.faults().SetPlan(sim::IoDevice::kSwapDisk, plan);
   sim::Rng rng(seed);
+  refmodel::Model m(w);
+  EXPECT_TRUE(m.Spawn());
 
-  std::vector<ModelProc> procs;
-  procs.push_back(ModelProc{w.kernel->Spawn(), {}});
-
-  constexpr int kOps = 900;
-  constexpr std::size_t kMaxProcs = 4;
-
-  auto random_mapped_page = [&](ModelProc& mp) -> std::optional<sim::Vaddr> {
-    if (mp.pages.empty()) {
-      return std::nullopt;
-    }
-    auto it = mp.pages.begin();
-    std::advance(it, static_cast<long>(rng.Below(mp.pages.size())));
-    return it->first;
-  };
-
-  for (int op = 0; op < kOps; ++op) {
-    ModelProc& mp = procs[rng.Below(procs.size())];
+  for (int op = 0; op < 900; ++op) {
+    refmodel::Space& s = m.procs[rng.Below(m.procs.size())];
     switch (rng.Below(10)) {
-      case 0: {  // mmap a fresh anonymous region
-        std::uint64_t npages = rng.Range(1, 16);
-        sim::Vaddr addr = 0;
-        EXPECT_EQ(sim::kOk,
-                  w.kernel->MmapAnon(mp.proc, &addr, npages * sim::kPageSize, kern::MapAttrs{}));
-        for (std::uint64_t i = 0; i < npages; ++i) {
-          mp.pages[addr + i * sim::kPageSize] = std::byte{0};
-        }
+      case 0:  // mmap a fresh anonymous region
+        EXPECT_TRUE(m.MmapAnon(s, rng.Range(1, 16))) << Describe(w);
         break;
-      }
       case 1:
       case 2:
       case 3:
-      case 4: {  // write one page
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
+      case 4:  // write one byte
+        if (auto va = m.PickPage(s, rng)) {
+          EXPECT_TRUE(m.Write(s, *va, static_cast<std::byte>(rng.Below(256)))) << Describe(w);
         }
-        auto fill = static_cast<std::byte>(rng.Below(256));
-        EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(mp.proc, *va, 1, fill)) << Describe(w);
-        mp.pages[*va] = fill;
         break;
-      }
       case 5:
-      case 6: {  // read-verify one page against the model
-        auto va = random_mapped_page(mp);
-        if (!va.has_value()) {
-          break;
+      case 6:
+        if (auto va = m.PickPage(s, rng)) {
+          EXPECT_TRUE(m.Check(s, *va)) << Describe(w);
         }
-        std::vector<std::byte> b(1);
-        EXPECT_EQ(sim::kOk, w.kernel->ReadMem(mp.proc, *va, b)) << Describe(w);
-        EXPECT_EQ(mp.pages[*va], b[0]) << "model mismatch at " << std::hex << *va;
         break;
-      }
-      case 7: {  // fork: COW — the child starts with the parent's view
-        if (procs.size() >= kMaxProcs) {
-          break;
+      case 7:
+        if (m.procs.size() < 4) {
+          EXPECT_TRUE(m.Fork(s));
         }
-        kern::Proc* child = w.kernel->Fork(mp.proc);
-        procs.push_back(ModelProc{child, mp.pages});
         break;
-      }
-      case 8: {  // exit (keep at least one process)
-        if (procs.size() <= 1) {
-          break;
+      case 8:  // exit (keep at least one process)
+        if (m.procs.size() > 1) {
+          m.Exit(rng.Below(m.procs.size()));
         }
-        std::size_t idx = rng.Below(procs.size());
-        w.kernel->Exit(procs[idx].proc);
-        procs.erase(procs.begin() + static_cast<long>(idx));
         break;
-      }
-      case 9: {  // memory pressure: pageouts run into the fault plan here
+      case 9:  // memory pressure: pageouts run into the fault plan here
         w.vm->PageDaemon(w.pm.free_pages() + rng.Range(16, 64));
         w.CheckInvariants();  // every recovery leaves a sound system
         break;
-      }
     }
     if (op % 64 == 63) {
       w.vm->PageDaemon(48);  // steady background pressure
       w.CheckInvariants();
     }
   }
-
-  // Final sweep: every page of every live process, byte-exact.
-  for (ModelProc& mp : procs) {
-    for (const auto& [va, value] : mp.pages) {
-      std::vector<std::byte> b(1);
-      EXPECT_EQ(sim::kOk, w.kernel->ReadMem(mp.proc, va, b)) << Describe(w);
-      EXPECT_EQ(value, b[0]) << "final sweep mismatch at " << std::hex << va << "\n"
-                             << Describe(w);
-    }
-  }
+  EXPECT_TRUE(m.CheckAll()) << Describe(w);
   w.CheckInvariants();
 
   const sim::Stats& s = w.machine.stats();
@@ -208,8 +152,6 @@ TEST_P(SoakTest, SameSeedAndPlanAreDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, SoakTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/harness/world.h"
 #include "src/kern/trace_replay.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -129,8 +130,6 @@ TEST_P(TraceReplayTest, WireOpsRun) {
 
 INSTANTIATE_TEST_SUITE_P(BothVms, TraceReplayTest,
                          ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "src/harness/world.h"
 #include "src/sim/report.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -225,8 +226,6 @@ TEST(ClockSpanTest, ResetMidSpanPanics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, TraceTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace

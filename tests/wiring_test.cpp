@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
+#include "tests/ref_model.h"
 
 namespace {
 
@@ -190,8 +191,6 @@ TEST(WiringDivergenceTest, RepeatedSysctlAtSameSpotFragmentsOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothVms, WiringTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
-                         [](const ::testing::TestParamInfo<VmKind>& param_info) {
-                           return harness::VmKindName(param_info.param);
-                         });
+                         refmodel::VmName);
 
 }  // namespace
