@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
+#include <utility>
 
 #include "src/sim/annotations.h"
 #include "src/sim/assert.h"
@@ -10,6 +12,11 @@ namespace mmu {
 
 namespace {
 constexpr std::uint64_t kPtShift = 22;  // i386: one page-table page maps 4 MB
+static_assert(PtTable::kSlots << sim::kPageShift == std::uint64_t{1} << kPtShift);
+// The directory's reach: a va at or past it has no slot and reads as unmapped.
+constexpr sim::Vaddr kVaLimit = sim::Vaddr{1} << 32;
+
+std::size_t SlotIndex(sim::Vaddr va) { return (va >> sim::kPageShift) & (PtTable::kSlots - 1); }
 }  // namespace
 
 MmuContext::MmuContext(phys::PhysMem& pm)
@@ -17,7 +24,7 @@ MmuContext::MmuContext(phys::PhysMem& pm)
       pmap_lock_(pm.machine(), "mmu.pmap", sim::LockRank::kPmap),
       pv_lock_(pm.machine(), "mmu.pv", sim::LockRank::kPv),
       pv_pool_("mmu.pv_entry", &pm.machine().pools()),
-      pte_pool_("mmu.pte_nodes", &pm.machine().pools()),
+      pt_pool_("mmu.pt_tables", &pm.machine().pools(), /*magazine=*/1),
       pv_(pm.total_pages(), nullptr) {
   // Machine-check response (DESIGN.md §13): the moment a live frame is
   // poisoned, strip every mapping of it through the pv chain so the next
@@ -48,13 +55,13 @@ void MmuContext::AuditPv(sim::Auditor& auditor) const {
         auditor.Fail("pv entry references a dead pmap: pfn " + std::to_string(pfn));
         continue;
       }
-      auto it = e->pmap->ptes_.find(e->va);
-      if (it == e->pmap->ptes_.end()) {
+      const Pte* pte = e->pmap->Slot(e->va);
+      if (pte == nullptr) {
         auditor.Fail("pv entry without a pte: pfn " + std::to_string(pfn) + " va " +
                      std::to_string(e->va));
-      } else if (it->second.pfn != pfn) {
+      } else if (pte->pfn != pfn) {
         auditor.Fail("pv entry and pte disagree: pfn " + std::to_string(pfn) + " va " +
-                     std::to_string(e->va) + " pte.pfn " + std::to_string(it->second.pfn));
+                     std::to_string(e->va) + " pte.pfn " + std::to_string(pte->pfn));
       }
     }
     const phys::Page* page = pm_.PageAt(pfn);
@@ -64,27 +71,30 @@ void MmuContext::AuditPv(sim::Auditor& auditor) const {
     }
   }
   std::size_t pte_total = 0;
-  for (const Pmap* pmap : pmaps_) {
-    pte_total += pmap->ptes_.size();
+  for (Pmap* pmap : pmaps_) {
+    std::size_t resident = 0;
     std::size_t wired = 0;
-    SIM_ORDERED_OK("read-only audit recount; no simulation state touched");
-    for (const auto& [va, pte] : pmap->ptes_) {
+    pmap->ForEachPte(0, kVaLimit, [&](PtTable&, const Pte& pte, sim::Vaddr va) {
+      ++resident;
       if (pte.wired) {
         ++wired;
       }
       if (pte.pfn >= pv_.size()) {
         auditor.Fail("pte maps an out-of-range pfn: va " + std::to_string(va));
-        continue;
-      }
-      if (!PvContains(pte.pfn, pmap, va)) {
+      } else if (!PvContains(pte.pfn, pmap, va)) {
         auditor.Fail("pte without a pv entry: va " + std::to_string(va) + " pfn " +
                      std::to_string(pte.pfn));
       }
+    });
+    if (resident != pmap->resident_count_) {
+      auditor.Fail("resident recount " + std::to_string(resident) + " != resident_count " +
+                   std::to_string(pmap->resident_count_));
     }
     if (wired != pmap->wired_count_) {
       auditor.Fail("wired recount " + std::to_string(wired) + " != wired_count " +
                    std::to_string(pmap->wired_count_));
     }
+    pte_total += resident;
   }
   if (pv_total != pte_total) {
     auditor.Fail("pv entries " + std::to_string(pv_total) + " != resident ptes " +
@@ -137,9 +147,9 @@ std::size_t MmuContext::PageProtect(phys::Page* page, sim::Prot prot) {
     }
   } else {
     for (PvEntry* e = pv_[page->pfn]; e != nullptr; e = e->next) {
-      auto it = e->pmap->ptes_.find(e->va);
-      SIM_ASSERT(it != e->pmap->ptes_.end());
-      it->second.prot = it->second.prot & prot;
+      Pte* pte = e->pmap->Slot(e->va);
+      SIM_ASSERT(pte != nullptr);
+      pte->prot = pte->prot & prot;
     }
   }
   return n;
@@ -150,77 +160,109 @@ Pmap::Pmap(MmuContext& ctx, bool is_kernel, std::function<void(phys::Page*)> on_
     : ctx_(ctx),
       is_kernel_(is_kernel),
       on_ptpage_alloc_(std::move(on_ptpage_alloc)),
-      on_ptpage_free_(std::move(on_ptpage_free)),
-      ptes_(sim::PoolAllocator<std::pair<const sim::Vaddr, Pte>>(&ctx.pte_pool_)),
-      ptpages_(sim::PoolAllocator<std::pair<const std::uint64_t, phys::Page*>>(&ctx.pte_pool_)) {
+      on_ptpage_free_(std::move(on_ptpage_free)) {
   ctx_.pmaps_.push_back(this);
 }
 
 Pmap::~Pmap() {
-  RemoveAll();
-  // Free page-table pages in ascending va order: ptpages_ is an unordered
-  // map, and the order pages return to the free list is observable (the
-  // allocator reuses them LIFO), so hash-order iteration would make runs
-  // diverge based on hashing internals.
-  std::vector<std::uint64_t> idxs;
-  idxs.reserve(ptpages_.size());
-  SIM_ORDERED_OK("collect-only walk; indices sorted before pages are freed");
-  for (const auto& [idx, page] : ptpages_) {
-    idxs.push_back(idx);
-  }
-  std::sort(idxs.begin(), idxs.end());
-  for (std::uint64_t idx : idxs) {
-    phys::Page* page = ptpages_[idx];
-    if (on_ptpage_free_) {
-      on_ptpage_free_(page);
+  RemoveRange(0, kVaLimit);
+  // Tables, and with them the page-table pages, go back in ascending va:
+  // the order pages return to the free list is observable (the allocator
+  // reuses them LIFO).
+  for (PtTable*& table : dir_) {
+    if (table == nullptr) {
+      continue;
     }
-    ctx_.phys().Unwire(page);
-    ctx_.phys().Dequeue(page);
-    ctx_.phys().FreePage(page);
+    if (phys::Page* page = table->ptpage) {
+      if (on_ptpage_free_) {
+        on_ptpage_free_(page);
+      }
+      ctx_.phys().Unwire(page);
+      ctx_.phys().Dequeue(page);
+      ctx_.phys().FreePage(page);
+    }
+    ctx_.pt_pool_.Delete(table);
+    table = nullptr;
   }
-  ptpages_.clear();
   auto it = std::find(ctx_.pmaps_.begin(), ctx_.pmaps_.end(), this);
   SIM_ASSERT(it != ctx_.pmaps_.end());
   ctx_.pmaps_.erase(it);
 }
 
-Pte* Pmap::LookupPte(sim::Vaddr va_page) const {
-  if (cache_pte_ != nullptr && cache_va_ == va_page) {
-    ++ctx_.machine().stats().pte_cache_hits;
-    return cache_pte_;
-  }
-  auto it = ptes_.find(va_page);
-  if (it == ptes_.end()) {
+Pte* Pmap::Slot(sim::Vaddr va_page) const {
+  if (va_page >= kVaLimit) {
     return nullptr;
   }
-  cache_va_ = va_page;
-  // The cache is logically mutable state; the PTE itself is only written
-  // through non-const callers.
-  cache_pte_ = const_cast<Pte*>(&it->second);
-  return cache_pte_;
+  PtTable* table = dir_[va_page >> kPtShift];
+  if (table == nullptr) {
+    return nullptr;
+  }
+  Pte& pte = table->ptes[SlotIndex(va_page)];
+  return pte.pfn == sim::kInvalidPfn ? nullptr : &pte;
 }
 
-void Pmap::EnsurePtPage(sim::Vaddr va) {
-  if (is_kernel_) {
-    return;
+template <typename Fn>
+void Pmap::ForEachPte(sim::Vaddr start, sim::Vaddr end, Fn&& fn) {
+  // The pages a loop `for (va = PageTrunc(start); va < end; va += page)`
+  // visits, clipped to the directory's reach.
+  sim::Vaddr va = sim::PageTrunc(start);
+  end = sim::PageRound(std::min(end, kVaLimit));
+  while (va < end) {
+    const std::size_t dir_index = va >> kPtShift;
+    const sim::Vaddr table_end = std::min((sim::Vaddr{dir_index} + 1) << kPtShift, end);
+    PtTable* table = dir_[dir_index];
+    for (; table != nullptr && table->live != 0 && va < table_end; va += sim::kPageSize) {
+      Pte& pte = table->ptes[SlotIndex(va)];
+      if (pte.pfn != sim::kInvalidPfn) {
+        fn(*table, pte, va);
+      }
+    }
+    va = table_end;
   }
-  std::uint64_t idx = va >> kPtShift;
-  if (ptpages_.contains(idx)) {
-    return;
+}
+
+void Pmap::NoteLookup(sim::Vaddr va_page) const {
+  if (cache_valid_ && cache_va_ == va_page) {
+    ++ctx_.machine().stats().pte_cache_hits;
   }
-  // Page-table pages are allocated at emergency priority: a PT page is at
-  // most a few frames per address space and the fault path cannot back out
-  // of needing one, so it may dip into the pageout reserve.
-  phys::Page* pt = ctx_.phys().AllocPage(phys::OwnerKind::kKernel, this, idx, /*zero=*/true,
-                                         phys::AllocPri::kEmergency);
-  SIM_POOL_FATAL_OK("emergency allocation below the reserve; only fails if RAM is truly empty");
-  SIM_ASSERT_MSG(pt != nullptr, "out of memory allocating page-table page");
-  ctx_.phys().Wire(pt);
-  ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().ptpage_alloc_ns);
-  ptpages_.emplace(idx, pt);
-  if (on_ptpage_alloc_) {
+  cache_va_ = va_page;
+  cache_valid_ = true;
+}
+
+Pte* Pmap::LookupPte(sim::Vaddr va_page) const {
+  Pte* pte = Slot(va_page);
+  if (pte != nullptr) {
+    NoteLookup(va_page);
+  }
+  return pte;
+}
+
+PtTable& Pmap::EnsureTable(sim::Vaddr va) {
+  SIM_ASSERT_MSG(va < kVaLimit, "va beyond the page directory");
+  const std::size_t dir_index = va >> kPtShift;
+  if (dir_[dir_index] != nullptr) {
+    return *dir_[dir_index];
+  }
+  phys::Page* pt = nullptr;
+  if (!is_kernel_) {
+    // Page-table pages are allocated at emergency priority: a PT page is at
+    // most a few frames per address space and the fault path cannot back
+    // out of needing one, so it may dip into the pageout reserve.
+    pt = ctx_.phys().AllocPage(phys::OwnerKind::kKernel, this, dir_index, /*zero=*/true,
+                               phys::AllocPri::kEmergency);
+    SIM_POOL_FATAL_OK("emergency allocation below the reserve; only fails if RAM is truly empty");
+    SIM_ASSERT_MSG(pt != nullptr, "out of memory allocating page-table page");
+    ctx_.phys().Wire(pt);
+    ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().ptpage_alloc_ns);
+    ++ptpage_count_;
+  }
+  PtTable* table = ctx_.pt_pool_.New();
+  table->ptpage = pt;
+  dir_[dir_index] = table;
+  if (pt != nullptr && on_ptpage_alloc_) {
     on_ptpage_alloc_(pt);
   }
+  return *table;
 }
 
 void Pmap::Enter(sim::Vaddr va, phys::Page* page, sim::Prot prot, bool wired) {
@@ -228,43 +270,51 @@ void Pmap::Enter(sim::Vaddr va, phys::Page* page, sim::Prot prot, bool wired) {
   va = sim::PageTrunc(va);
   // PT-page allocation happens outside the pmap lock: it reaches the page
   // queues and the BSD kmap hook, both of which rank below kPmap.
-  EnsurePtPage(va);
+  PtTable& table = EnsureTable(va);
   sim::LockGuard g(ctx_.pmap_lock_);
   ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_enter_ns);
-  if (Pte* pte = LookupPte(va); pte != nullptr) {
+  Pte& pte = table.ptes[SlotIndex(va)];
+  if (pte.pfn != sim::kInvalidPfn) {
+    NoteLookup(va);
     // Replacing an existing mapping.
-    if (pte->pfn == page->pfn) {
-      if (pte->wired && !wired) {
+    if (pte.pfn == page->pfn) {
+      if (pte.wired && !wired) {
         --wired_count_;
-      } else if (!pte->wired && wired) {
+      } else if (!pte.wired && wired) {
         ++wired_count_;
       }
-      pte->prot = prot;
-      pte->wired = wired;
+      pte.prot = prot;
+      pte.wired = wired;
       return;
     }
-    RemoveLocked(va);
+    RemovePte(table, pte, va);
   }
-  ptes_[va] = Pte{page->pfn, prot, wired};
+  pte = Pte{page->pfn, prot, wired};
+  ++table.live;
+  ++resident_count_;
   if (wired) {
     ++wired_count_;
   }
   ctx_.PvAdd(page->pfn, this, va);
 }
 
-void Pmap::RemoveLocked(sim::Vaddr va_page) {
-  auto it = ptes_.find(va_page);
-  if (it == ptes_.end()) {
-    return;
-  }
-  if (it->second.wired) {
+void Pmap::RemovePte(PtTable& table, Pte& pte, sim::Vaddr va_page) {
+  if (pte.wired) {
     --wired_count_;
   }
-  ctx_.PvRemove(it->second.pfn, this, va_page);
-  if (cache_pte_ != nullptr && cache_va_ == va_page) {
-    cache_pte_ = nullptr;
+  ctx_.PvRemove(pte.pfn, this, va_page);
+  if (cache_valid_ && cache_va_ == va_page) {
+    cache_valid_ = false;
   }
-  ptes_.erase(it);
+  pte = Pte{};
+  --table.live;
+  --resident_count_;
+}
+
+void Pmap::RemoveLocked(sim::Vaddr va_page) {
+  if (Pte* pte = Slot(va_page); pte != nullptr) {
+    RemovePte(*dir_[va_page >> kPtShift], *pte, va_page);
+  }
 }
 
 void Pmap::Remove(sim::Vaddr va) {
@@ -275,67 +325,24 @@ void Pmap::Remove(sim::Vaddr va) {
 
 void Pmap::RemoveRange(sim::Vaddr start, sim::Vaddr end) {
   sim::LockGuard g(ctx_.pmap_lock_);
-  for (sim::Vaddr va = sim::PageTrunc(start); va < end; va += sim::kPageSize) {
-    if (ptes_.contains(va)) {
-      ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_remove_ns);
-      RemoveLocked(va);
-    }
-  }
-}
-
-void Pmap::RemoveAll() {
-  // Tear down in ascending va order rather than hash order: removal order
-  // reaches the pv lists and (via pageout interactions) the page queues, so
-  // it must not depend on unordered_map internals.
-  std::vector<sim::Vaddr> vas;
-  vas.reserve(ptes_.size());
-  SIM_ORDERED_OK("collect-only walk; addresses sorted before removal");
-  for (const auto& [va, pte] : ptes_) {
-    vas.push_back(va);
-  }
-  std::sort(vas.begin(), vas.end());
-  sim::LockGuard g(ctx_.pmap_lock_);
-  for (sim::Vaddr va : vas) {
+  ForEachPte(start, end, [this](PtTable& table, Pte& pte, sim::Vaddr va) {
     ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_remove_ns);
-    RemoveLocked(va);
-  }
-}
-
-void Pmap::Protect(sim::Vaddr va, sim::Prot prot) {
-  sim::LockGuard g(ctx_.pmap_lock_);
-  Pte* pte = LookupPte(sim::PageTrunc(va));
-  if (pte == nullptr) {
-    return;
-  }
-  ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_protect_ns);
-  if (prot == sim::Prot::kNone) {
-    RemoveLocked(sim::PageTrunc(va));
-  } else {
-    pte->prot = prot;
-  }
-}
-
-void Pmap::ProtectRange(sim::Vaddr start, sim::Vaddr end, sim::Prot prot) {
-  for (sim::Vaddr va = sim::PageTrunc(start); va < end; va += sim::kPageSize) {
-    Protect(va, prot);
-  }
+    RemovePte(table, pte, va);
+  });
 }
 
 void Pmap::IntersectProtRange(sim::Vaddr start, sim::Vaddr end, sim::Prot prot) {
   sim::LockGuard g(ctx_.pmap_lock_);
-  for (sim::Vaddr va = sim::PageTrunc(start); va < end; va += sim::kPageSize) {
-    Pte* pte = LookupPte(va);
-    if (pte == nullptr) {
-      continue;
-    }
+  ForEachPte(start, end, [this, prot](PtTable& table, Pte& pte, sim::Vaddr va) {
+    NoteLookup(va);
     ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_protect_ns);
-    sim::Prot np = pte->prot & prot;
-    if (np == sim::Prot::kNone && !pte->wired) {
-      RemoveLocked(va);
+    sim::Prot np = pte.prot & prot;
+    if (np == sim::Prot::kNone && !pte.wired) {
+      RemovePte(table, pte, va);
     } else {
-      pte->prot = np;
+      pte.prot = np;
     }
-  }
+  });
 }
 
 void Pmap::ChangeWiring(sim::Vaddr va, bool wired) {

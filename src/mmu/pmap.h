@@ -10,15 +10,22 @@
 // lives only inside the pmap; under BSD VM, the machine-dependent code also
 // enters each page-table page into the kernel map, costing a kernel map
 // entry (§3.2). The hook `on_ptpage_alloc` lets the BSD layer model that.
+//
+// The host layout is the i386 one too: a 1024-entry page directory indexed
+// by va >> 22, each present entry pointing at a pooled table of 1024 PTEs
+// (one per 4 KB page of its 4 MB region). A user pmap's table comes and goes
+// with its simulated page-table page; the kernel pmap, which consumes none,
+// creates its tables on first use. The directory covers 4 GB: a va at or
+// past that reads as unmapped. Every walk (range removal, protection,
+// teardown, audit) is in ascending va by construction.
 #ifndef SRC_MMU_PMAP_H_
 #define SRC_MMU_PMAP_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/phys/phys_mem.h"
@@ -32,6 +39,17 @@ struct Pte {
   sim::Pfn pfn = sim::kInvalidPfn;
   sim::Prot prot = sim::Prot::kNone;
   bool wired = false;
+};
+
+// One page-table page's worth of PTEs: slot i maps the i-th 4 KB page of a
+// 4 MB region, and an empty slot holds sim::kInvalidPfn. `live` counts the
+// valid slots so walks can skip an emptied table. `ptpage` is the simulated
+// page-table page it stands for (null in the kernel pmap).
+struct PtTable {
+  static constexpr std::size_t kSlots = 1024;
+  std::array<Pte, kSlots> ptes;
+  std::uint32_t live = 0;
+  phys::Page* ptpage = nullptr;
 };
 
 class Pmap;
@@ -101,8 +119,10 @@ class MmuContext {
   // Declared before pv_ and used by every pmap: chains must drain (all
   // pmaps die) before the context, so the teardown leak assert is real.
   sim::Pool<PvEntry> pv_pool_;
-  // Slab storage for every pmap's PTE / page-table-page hash nodes.
-  sim::PoolResource pte_pool_;
+  // Every pmap's page tables; a pmap returns its own when it dies. One
+  // table per refill: a table is 8 KB, and a magazine of them would make
+  // tables resident on the host before any pmap needs them.
+  sim::Pool<PtTable> pt_pool_;
   std::vector<PvEntry*> pv_;  // per-pfn chain heads
   std::vector<Pmap*> pmaps_;  // live pmaps, in creation order
   int audit_token_ = 0;
@@ -130,12 +150,6 @@ class Pmap {
   void Remove(sim::Vaddr va);
   // Remove every mapping in [start, end).
   void RemoveRange(sim::Vaddr start, sim::Vaddr end);
-  // Remove every mapping in the pmap.
-  void RemoveAll();
-
-  // Change the protection of the mapping at `va`, if any.
-  void Protect(sim::Vaddr va, sim::Prot prot);
-  void ProtectRange(sim::Vaddr start, sim::Vaddr end, sim::Prot prot);
 
   // Lower existing mappings in [start, end) to the intersection of their
   // current protection and `prot`. A mapping whose intersection is empty is
@@ -149,40 +163,48 @@ class Pmap {
   // Query the translation for `va`.
   std::optional<Pte> Extract(sim::Vaddr va) const;
 
-  std::size_t resident_count() const { return ptes_.size(); }
+  std::size_t resident_count() const { return resident_count_; }
   std::size_t wired_count() const { return wired_count_; }
-  std::size_t ptpage_count() const { return ptpages_.size(); }
+  std::size_t ptpage_count() const { return ptpage_count_; }
 
   bool is_kernel() const { return is_kernel_; }
 
  private:
   friend class MmuContext;
 
-  void EnsurePtPage(sim::Vaddr va);
+  // Directory slots: 1024 of 4 MB each, the whole 32-bit address space.
+  static constexpr std::size_t kDirSlots = 1024;
+
+  // The table covering `va`, creating it (and, in a user pmap, its wired
+  // page-table page) on first use.
+  PtTable& EnsureTable(sim::Vaddr va);
+  // The valid PTE at a page-aligned va, or null. No cache bookkeeping.
+  Pte* Slot(sim::Vaddr va_page) const;
   void RemoveLocked(sim::Vaddr va_page);
+  // Drop the valid PTE `pte`, which maps `va_page` from `table`.
+  void RemovePte(PtTable& table, Pte& pte, sim::Vaddr va_page);
+  // Visit every valid PTE with a va in [start, end) in ascending va, as
+  // fn(table, pte, va). `fn` may remove the PTE it is given.
+  template <typename Fn>
+  void ForEachPte(sim::Vaddr start, sim::Vaddr end, Fn&& fn);
 
-  // Single-entry translation cache (an L1 "TLB" in front of ptes_). Returns
-  // the PTE for a page-aligned va, or null. unordered_map guarantees
-  // reference stability across insert/rehash, so the cached pointer is only
-  // invalidated when the cached entry itself is erased (RemoveLocked).
-  // Purely a host-side accelerator: virtual-time charges are unchanged.
+  // `Slot` plus the single-entry translation cache's bookkeeping: a
+  // successful lookup of the page the previous one found counts a
+  // `pte_cache_hits`. The cache models a host-side L1 "TLB"; it changes no
+  // charge, only that counter, which reports and fingerprints print.
   Pte* LookupPte(sim::Vaddr va_page) const;
-
-  // Hash nodes come from the context's shared slab resource; node pointers
-  // are stable (pool blocks), so the PTE cache stays valid across rehash.
-  template <typename K, typename V>
-  using PooledUMap = std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                                        sim::PoolAllocator<std::pair<const K, V>>>;
+  void NoteLookup(sim::Vaddr va_page) const;
 
   MmuContext& ctx_;
   bool is_kernel_;
   std::function<void(phys::Page*)> on_ptpage_alloc_;
   std::function<void(phys::Page*)> on_ptpage_free_;
-  PooledUMap<sim::Vaddr, Pte> ptes_;  // keyed by page-aligned va
-  PooledUMap<std::uint64_t, phys::Page*> ptpages_;  // keyed by va >> 22
+  std::array<PtTable*, kDirSlots> dir_{};  // indexed by va >> 22
+  std::size_t resident_count_ = 0;
   std::size_t wired_count_ = 0;
+  std::size_t ptpage_count_ = 0;
   mutable sim::Vaddr cache_va_ = 0;
-  mutable Pte* cache_pte_ = nullptr;
+  mutable bool cache_valid_ = false;
 };
 
 }  // namespace mmu

@@ -2,9 +2,8 @@
 //
 // Real UVM keeps metadata allocation off the fault path with the kernel's
 // pool(9)-style allocators; the simulator's hot structures (map entries,
-// anons, pv entries, PTE hash nodes, page-store chunks, swap blocks) used
-// to pay a general-purpose heap call each. This header provides the
-// replacements:
+// anons, pv entries, page-store chunks, swap blocks) used to pay a
+// general-purpose heap call each. This header provides the replacements:
 //
 //   Arena         chunked bump allocator; never returns memory until death.
 //   PoolBase      fixed-size block pool over its own Arena: magazines of

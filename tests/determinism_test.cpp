@@ -1,8 +1,8 @@
 // Determinism regression test: two identically-seeded runs of a workload
-// that exercises every formerly hash-ordered iteration path (pmap teardown,
-// pmap RemoveAll, hashed-amap ForEach, object page walks) must produce
-// byte-identical stats dumps. Guards against unordered_map iteration order
-// leaking into simulation results.
+// that exercises every formerly hash-ordered iteration path (pmap teardown
+// and its whole-space removal, hashed-amap ForEach, object page walks) must
+// produce byte-identical stats dumps. Guards against unordered_map iteration
+// order leaking into simulation results.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -118,15 +119,16 @@ class Model {
     return Returned("munmap", va, err, sim::kOk);
   }
 
-  // One byte at the start of the page; a read-only page refuses it.
-  ::testing::AssertionResult Write(Space& s, sim::Vaddr va, std::byte value) {
-    int err = w_.kernel->TouchWrite(s.proc, va, 1, value);
+  // One byte at `offset` into the page; a read-only page refuses it.
+  ::testing::AssertionResult Write(Space& s, sim::Vaddr va, std::byte value,
+                                   std::size_t offset = 0) {
+    int err = w_.kernel->WriteMem(s.proc, va + offset, std::span<const std::byte>(&value, 1));
     Page& pg = s.pages.at(va);
     if (!pg.writable) {
-      return Returned("write", va, err, sim::kErrProt);
+      return Returned("write", va + offset, err, sim::kErrProt);
     }
-    Store(pg)[0] = value;
-    return Returned("write", va, err, sim::kOk);
+    Store(pg)[offset] = value;
+    return Returned("write", va + offset, err, sim::kOk);
   }
 
   // sysctl(2) into a writable page fills the whole page with its result.
@@ -155,10 +157,12 @@ class Model {
     if (g == got.end()) {
       return ::testing::AssertionSuccess();
     }
-    return ::testing::AssertionFailure()
-           << "pid " << s.proc->pid << " read 0x" << std::hex << static_cast<int>(*g)
-           << " at 0x" << va << " + 0x" << (g - got.begin()) << ", model has 0x"
-           << static_cast<int>(*want);
+    // One stream: AssertionResult's operator<< would drop std::hex after
+    // the value it is streamed with.
+    std::ostringstream msg;
+    msg << "pid " << s.proc->pid << " read 0x" << std::hex << static_cast<int>(*g) << " at 0x"
+        << va << " + 0x" << (g - got.begin()) << ", model has 0x" << static_cast<int>(*want);
+    return ::testing::AssertionFailure() << msg.str();
   }
 
   // Check every page of every process.
@@ -203,8 +207,10 @@ class Model {
     if (err == want) {
       return ::testing::AssertionSuccess();
     }
-    return ::testing::AssertionFailure() << op << " at 0x" << std::hex << va << " returned "
-                                         << std::dec << err << ", model expects " << want;
+    std::ostringstream msg;
+    msg << op << " at 0x" << std::hex << va << " returned " << std::dec << err
+        << ", model expects " << want;
+    return ::testing::AssertionFailure() << msg.str();
   }
 
   static std::span<std::byte> FilePage(const Page& pg) {

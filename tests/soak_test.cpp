@@ -64,9 +64,13 @@ SoakOutcome RunSoak(VmKind kind, const sim::FaultPlan& plan, std::uint64_t seed)
       case 1:
       case 2:
       case 3:
-      case 4:  // write one byte
+      case 4:  // write one byte, at an offset derived from it
         if (auto va = m.PickPage(s, rng)) {
-          EXPECT_TRUE(m.Write(s, *va, static_cast<std::byte>(rng.Below(256)))) << Describe(w);
+          // Spread over the page: were every write at byte 0, each page
+          // would be zero elsewhere, and a copy-on-write fault that skipped
+          // the copy would still read back right.
+          const std::uint64_t value = rng.Below(256);
+          EXPECT_TRUE(m.Write(s, *va, static_cast<std::byte>(value), value * 16)) << Describe(w);
         }
         break;
       case 5:

@@ -114,6 +114,22 @@ TEST_P(TraceReplayTest, BadSyntaxReported) {
   }
 }
 
+// The page directory covers 4 GB; an access past it must fault like any
+// other unmapped address, not reach a page table. The first write leaves
+// the pmap non-empty, so a lookup that ran off the directory would read
+// live state rather than zeros.
+TEST_P(TraceReplayTest, WritePastFourGigabytesFaults) {
+  const char* trace = R"(
+    proc main
+    mmap main $heap 16 rw private
+    write main $heap 0 0x01
+    write main $heap 1048576 0x10
+  )";
+  auto res = kern::ReplayTrace(*w.kernel, trace);
+  EXPECT_EQ(sim::kErrFault, res.err) << res.message;
+  EXPECT_EQ(5, res.line);
+}
+
 TEST_P(TraceReplayTest, WireOpsRun) {
   const char* trace = R"(
     proc a
