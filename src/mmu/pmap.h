@@ -104,14 +104,14 @@ class MmuContext {
   bool PvContains(sim::Pfn pfn, const Pmap* pmap, sim::Vaddr va) const;
 
   // Registered with sim::Auditor: every pv entry has a matching PTE and
-  // vice versa, wired counts recount, and no unwired poisoned frame is
-  // still mapped anywhere.
+  // vice versa, resident and wired counts recount, and no unwired poisoned
+  // frame is still mapped anywhere.
   void AuditPv(sim::Auditor& auditor) const;
 
   phys::PhysMem& pm_;
   // Class-level locks shared by every pmap (the real i386 pmap serialized
   // on one kernel lock too). Both zero-cost: pmap operation costs already
-  // subsume the round-trips. The pmap lock is taken *after* EnsurePtPage —
+  // subsume the round-trips. The pmap lock is taken *after* EnsureTable —
   // PT-page allocation reaches down to the page queues (lower rank) and the
   // BSD kmap-mirroring hook (map rank), both illegal under it.
   sim::SimLock pmap_lock_;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "src/sim/machine.h"
@@ -68,6 +70,15 @@ TEST_F(VfsTest, PatternFileMatchesPatternByteAtEveryOffset) {
   std::vector<std::byte> tail(77);
   vfs::Filesystem::FillPattern("/p", 5000, tail);
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), buf.begin() + 5000));
+  // The sequence itself: byte n is bits 16-23 of hash(name) * 31 +
+  // n * 2654435761 in 64-bit arithmetic, here from an offset past 4 GB.
+  const std::size_t h = std::hash<std::string>{}("/p") * 31;
+  const std::size_t far = (std::size_t{1} << 33) + 5;
+  std::vector<std::byte> run(100);
+  vfs::Filesystem::FillPattern("/p", far, run);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    ASSERT_EQ(static_cast<std::byte>((h + (far + i) * 2654435761u) >> 16), run[i]) << i;
+  }
 }
 
 TEST_F(VfsTest, ReadBeyondEofZeroFills) {
