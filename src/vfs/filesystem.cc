@@ -14,9 +14,9 @@ void Filesystem::CreateFile(const std::string& name, std::vector<std::byte> cont
 void Filesystem::FillPattern(const std::string& name, std::size_t off, std::span<std::byte> out) {
   // Byte n is bits 16-23 of hash(name) * 31 + n * kStep in 64-bit
   // arithmetic. Those bits depend only on the low 32 bits, so one 32-bit
-  // value stepped by kStep yields the same bytes in a loop the compiler
-  // vectorizes; a 64-bit multiply per byte stayed scalar, and its speed
-  // swung by 2x with code alignment.
+  // value stepped by kStep yields the same bytes, in a loop the compiler
+  // vectorizes; a 64-bit multiply per byte does not vectorize, and that
+  // scalar loop's speed depends on code alignment.
   constexpr std::uint32_t kStep = 2654435761u;
   const std::size_t h = std::hash<std::string>{}(name) * 31;
   auto x = static_cast<std::uint32_t>(h + off * kStep);
