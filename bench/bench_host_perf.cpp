@@ -231,9 +231,9 @@ double MicroPageStore() {
   for (auto& k : keys) {
     k = rng.Next() % (kPages * 2);
   }
-  sim::PoolResource chunk_pool("bench.pagestore_chunks");
+  sim::PoolResource chunk_pool;
   sim::Stats stats;
-  phys::PageStore store(&chunk_pool, &stats);
+  phys::PageStore store(chunk_pool, &stats);
   for (std::uint64_t i = 0; i < kPages; ++i) {
     store.Put(i, &dummy);
   }
@@ -291,7 +291,7 @@ double MicroPvChurn() {
 template <typename T, typename NewFn>
 double PoolChurnNsPerOp(NewFn make) {
   constexpr std::size_t kBurst = 64;
-  sim::Pool<T> pool("bench.churn");
+  sim::PoolResource pool;
   std::vector<T*> live(kBurst);
   auto round = [&] {
     for (std::size_t i = 0; i < kBurst; ++i) {
@@ -312,14 +312,13 @@ double PoolChurnNsPerOp(NewFn make) {
 }
 
 double MicroAnonChurn() {
-  return PoolChurnNsPerOp<uvm::Anon>([](sim::Pool<uvm::Anon>& p) { return p.New(); });
+  return PoolChurnNsPerOp<uvm::Anon>([](sim::PoolResource& p) { return p.New<uvm::Anon>(); });
 }
 
 double MicroObjectChurn() {
-  sim::PoolResource chunk_pool("bench.pagestore_chunks");
   sim::Stats stats;
-  return PoolChurnNsPerOp<bsdvm::VmObject>([&](sim::Pool<bsdvm::VmObject>& p) {
-    return p.New(16, true, &chunk_pool, &stats);
+  return PoolChurnNsPerOp<bsdvm::VmObject>([&](sim::PoolResource& p) {
+    return p.New<bsdvm::VmObject>(16, true, p, &stats);
   });
 }
 
@@ -328,9 +327,9 @@ double MicroObjectChurn() {
 double MicroPageStoreChurn() {
   constexpr std::size_t kChunks = 32;
   phys::Page dummy;
-  sim::PoolResource chunk_pool("bench.pagestore_chunks");
+  sim::PoolResource chunk_pool;
   sim::Stats stats;
-  phys::PageStore store(&chunk_pool, &stats);
+  phys::PageStore store(chunk_pool, &stats);
   auto round = [&] {
     for (std::size_t i = 0; i < kChunks; ++i) {
       store.emplace(i * phys::PageStore::kChunkPages, &dummy);

@@ -19,8 +19,7 @@ using kern::kUserMin;
 
 BsdAddressSpace::BsdAddressSpace(BsdVm& vm, bool is_kernel)
     : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
-           is_kernel ? vm.config_.kernel_map_entries : 0, &vm.map_entry_pool_,
-           is_kernel ? "bsd.kmap" : "bsd.map"),
+           is_kernel ? vm.config_.kernel_map_entries : 0, is_kernel ? "bsd.kmap" : "bsd.map"),
       pmap_(
           vm.mmu_, is_kernel,
           // BSD VM: the i386 pmap module records each page-table page in the
@@ -56,11 +55,7 @@ BsdVm::BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu,
       config_(config),
       object_chain_lock_(machine, "bsd.object", sim::LockRank::kObject,
                          /*acquire_ns=*/nullptr,
-                         sim::SimLock::Attribution::kContext),
-      object_pool_("bsd.object", &machine.pools()),
-      swap_block_pool_("bsd.swap_blocks", &machine.pools()),
-      map_entry_pool_("bsd.map_entries", &machine.pools()),
-      pagestore_chunk_pool_("bsd.pagestore_chunks", &machine.pools()) {
+                         sim::SimLock::Attribution::kContext) {
   kernel_as_ = std::make_unique<BsdAddressSpace>(*this, /*is_kernel=*/true);
   audit_token_ =
       machine_.auditor().Register("bsd.state", [this](sim::Auditor& a) { AuditState(a); });
@@ -95,14 +90,14 @@ kern::AddressSpace* BsdVm::CreateAddressSpace() {
 // Objects
 
 std::unique_ptr<SwapPager> BsdVm::NewSwapPager() {
-  return std::make_unique<SwapPager>(swap_, &swap_block_pool_);
+  return std::make_unique<SwapPager>(swap_, machine_.pools());
 }
 
 VmObject* BsdVm::NewObject(std::size_t size_pages, bool internal) {
   machine_.Charge(sim::CostCat::kAlloc, machine_.cost().object_alloc_ns);
   ++machine_.stats().objects_allocated;
-  VmObject* obj =
-      object_pool_.New(size_pages, internal, &pagestore_chunk_pool_, &machine_.stats());
+  VmObject* obj = machine_.pools().New<VmObject>(size_pages, internal, machine_.pools(),
+                                                 &machine_.stats());
   obj->id = next_object_id_++;
   all_objects_.insert(obj);
   return obj;
@@ -207,7 +202,7 @@ void BsdVm::TerminateObject(VmObject* obj) {
   obj->pager.reset();  // frees swap slots / vnode reference
   VmObject* shadow = obj->shadow;
   all_objects_.erase(obj);
-  object_pool_.Delete(obj);
+  machine_.pools().Delete(obj);
   if (shadow != nullptr) {
     DerefObject(shadow);
   }
@@ -340,7 +335,7 @@ void BsdVm::TryCollapse(VmObject* top) {
       s->shadow = nullptr;
       s->ref_count = 0;
       all_objects_.erase(s);
-      object_pool_.Delete(s);
+      machine_.pools().Delete(s);
       continue;
     }
     if (s->ref_count > 1 && CanBypass(o, s)) {

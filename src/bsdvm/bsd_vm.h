@@ -171,14 +171,6 @@ class BsdVm : public kern::VmSystem {
   // virtual-time charge matches the pre-SimLock model exactly.
   sim::SimLock object_chain_lock_;
 
-  // Metadata slabs (DESIGN.md §14). Declared before kernel_as_ and the
-  // object registries: every object/swap-block/map-entry must be freed
-  // (teardown in ~BsdVm's body) before the pools' leak asserts run.
-  sim::Pool<VmObject> object_pool_;
-  sim::PoolResource swap_block_pool_;       // SwapPager block-map nodes
-  sim::PoolResource map_entry_pool_;        // every VmMap's entry nodes
-  sim::PoolResource pagestore_chunk_pool_;  // object page-store chunks
-
   std::unique_ptr<BsdAddressSpace> kernel_as_;
   // Ordered by creation id, not pointer value: walks over the live-object
   // registry (TotalAnonPages, AuditState) must not depend on where the

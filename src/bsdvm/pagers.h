@@ -66,9 +66,8 @@ class SwapPager : public Pager {
  public:
   static constexpr std::uint64_t kBlockPages = 16;
 
-  // Block-map nodes come from `blocks` when given (BsdVm's swap-block
-  // slab); a null resource falls back to the heap (standalone tests).
-  explicit SwapPager(swp::SwapDevice& sd, sim::PoolResource* blocks = nullptr)
+  // Block-map nodes come from `blocks` (the machine's slab pool).
+  SwapPager(swp::SwapDevice& sd, sim::PoolResource& blocks)
       : sd_(sd), blocks_(BlockAlloc(blocks)) {}
   ~SwapPager() override;
 

@@ -25,7 +25,7 @@ class Pager;
 class VmObject {
  public:
   // `chunk_pool` and `stats` serve the page store (phys::PageStore).
-  VmObject(std::size_t size_pages, bool internal, sim::PoolResource* chunk_pool,
+  VmObject(std::size_t size_pages, bool internal, sim::PoolResource& chunk_pool,
            sim::Stats* stats)
       : size_pages_(size_pages), internal_(internal), pages(chunk_pool, stats) {}
 

@@ -65,7 +65,7 @@ void HashAmapImpl::ForEach(const std::function<void(std::uint64_t, Anon*)>& fn) 
 }
 
 std::unique_ptr<AmapImpl> MakeAmapImpl(AmapImplPolicy policy, std::uint64_t nslots,
-                                       sim::PoolResource* hash_nodes) {
+                                       sim::PoolResource& hash_nodes) {
   // Threshold for the hybrid policy: beyond 1024 slots (4 MB of address
   // space) the dense array's up-front cost outweighs hash overhead for the
   // sparse mappings large areas typically are.

@@ -64,12 +64,12 @@ class ArrayAmapImpl : public AmapImpl {
 };
 
 // Sparse hash implementation: O(occupied) space for large, thin amaps.
-// Hash nodes (and bucket arrays) come from the VM's shared slab resource
-// when one is supplied, so fork/exit churn recycles them.
+// Hash nodes (and bucket arrays) come from the machine's slab pool, so
+// fork/exit churn recycles them.
 class HashAmapImpl : public AmapImpl {
  public:
   using NodeAlloc = sim::PoolAllocator<std::pair<const std::uint64_t, Anon*>>;
-  explicit HashAmapImpl(std::uint64_t nslots, sim::PoolResource* nodes = nullptr)
+  HashAmapImpl(std::uint64_t nslots, sim::PoolResource& nodes)
       : nslots_(nslots), map_(NodeAlloc(nodes)) {}
   Anon* Get(std::uint64_t slot) const override;
   void Set(std::uint64_t slot, Anon* anon) override;
@@ -106,10 +106,10 @@ struct Amap {
   void Set(std::uint64_t slot, Anon* anon) { impl->Set(slot, anon); }
 };
 
-// `hash_nodes`, when given, supplies the slab storage for a hash impl's
-// nodes; the array impl ignores it.
+// `hash_nodes` supplies the slab storage for a hash impl's nodes; the
+// array impl ignores it.
 std::unique_ptr<AmapImpl> MakeAmapImpl(AmapImplPolicy policy, std::uint64_t nslots,
-                                       sim::PoolResource* hash_nodes = nullptr);
+                                       sim::PoolResource& hash_nodes);
 
 }  // namespace uvm
 

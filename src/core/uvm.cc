@@ -19,8 +19,7 @@ using kern::kUserMin;
 
 UvmAddressSpace::UvmAddressSpace(Uvm& vm, bool is_kernel)
     : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
-           is_kernel ? vm.config().kernel_map_entries : 0, &vm.map_entry_pool_,
-           is_kernel ? "uvm.kmap" : "uvm.map"),
+           is_kernel ? vm.config().kernel_map_entries : 0, is_kernel ? "uvm.kmap" : "uvm.map"),
       // UVM: the wired state of page-table pages lives only in the pmap
       // (§3.2) — no kernel-map hooks.
       pmap_(vm.mmu_, is_kernel) {}
@@ -34,12 +33,7 @@ Uvm::Uvm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::Vn
       swap_(swap),
       config_(config),
       object_lock_(machine, "uvm.object", sim::LockRank::kObject),
-      amap_lock_(machine, "uvm.amap", sim::LockRank::kAmap),
-      anon_pool_("uvm.anon", &machine.pools()),
-      amap_pool_("uvm.amap", &machine.pools()),
-      amap_node_pool_("uvm.amap_nodes", &machine.pools()),
-      map_entry_pool_("uvm.map_entries", &machine.pools()),
-      pagestore_chunk_pool_("uvm.pagestore_chunks", &machine.pools()) {
+      amap_lock_(machine, "uvm.amap", sim::LockRank::kAmap) {
   kernel_as_ = std::make_unique<UvmAddressSpace>(*this, /*is_kernel=*/true);
   poison_hook_token_ = pm_.AddPoisonHook([this](phys::Page* p) { OnPoison(p); });
   audit_token_ =
@@ -86,7 +80,7 @@ kern::AddressSpace* Uvm::CreateAddressSpace() {
 Anon* Uvm::NewAnon() {
   machine_.Charge(sim::CostCat::kAlloc, machine_.cost().anon_alloc_ns);
   ++machine_.stats().anons_allocated;
-  Anon* a = anon_pool_.New();
+  Anon* a = machine_.pools().New<Anon>();
   all_anons_.insert(a);
   return a;
 }
@@ -115,13 +109,14 @@ void Uvm::DerefAnon(Anon* a) {
     a->swap_slot = swp::kNoSlot;
   }
   all_anons_.erase(a);
-  anon_pool_.Delete(a);
+  machine_.pools().Delete(a);
 }
 
 Amap* Uvm::NewAmap(std::uint64_t nslots) {
   machine_.Charge(sim::CostCat::kAlloc, machine_.cost().amap_alloc_per_slot_ns * nslots);
   ++machine_.stats().amaps_allocated;
-  Amap* am = amap_pool_.New(MakeAmapImpl(config_.amap_policy, nslots, &amap_node_pool_));
+  Amap* am =
+      machine_.pools().New<Amap>(MakeAmapImpl(config_.amap_policy, nslots, machine_.pools()));
   all_amaps_.insert(am);
   return am;
 }
@@ -133,7 +128,7 @@ void Uvm::DerefAmap(Amap* am) {
   }
   am->impl->ForEach([this](std::uint64_t, Anon* a) { DerefAnon(a); });
   all_amaps_.erase(am);
-  amap_pool_.Delete(am);
+  machine_.pools().Delete(am);
 }
 
 void Uvm::EnsureAmap(UvmMapEntry& e) {
@@ -654,7 +649,7 @@ int Uvm::AnonPageInCluster(UvmMapEntry& e, sim::Vaddr va, Anon* anon) {
     }
     pages.push_back(p);
   }
-  std::vector<std::span<std::byte, sim::kPageSize>> datas;
+  std::vector<swp::PageBytes> datas;
   datas.reserve(pages.size());
   for (phys::Page* p : pages) {
     datas.push_back(pm_.Data(p));
@@ -1086,7 +1081,7 @@ std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
     }
     return 0;  // swap exhausted
   }
-  std::vector<std::span<std::byte, sim::kPageSize>> datas;
+  std::vector<swp::ConstPageBytes> datas;
   datas.reserve(cluster.size());
   for (phys::Page* p : cluster) {
     mmu_.PageProtect(p, sim::Prot::kNone);

@@ -131,9 +131,6 @@ class Uvm : public kern::VmSystem {
   sim::Machine& machine() { return machine_; }
   phys::PhysMem& phys() { return pm_; }
   const UvmConfig& config() const { return config_; }
-  // Slab storage for uvm-object page-store chunks (uvm_object.cc binds it
-  // alongside the stats block on every object it initializes).
-  sim::PoolResource& pagestore_pool() { return pagestore_chunk_pool_; }
 
   // phys::AllocOrReclaim with this VM's pagedaemon (used by pagers too).
   phys::Page* AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
@@ -234,15 +231,6 @@ class Uvm : public kern::VmSystem {
   // exist for rank checking and per-class hold-time attribution.
   sim::SimLock object_lock_;
   sim::SimLock amap_lock_;
-
-  // Metadata slabs (DESIGN.md §14). Declared before kernel_as_ and every
-  // container below: all anons/amaps/map entries must be freed (teardown in
-  // ~Uvm's body and member destructors) before the pools' leak asserts run.
-  sim::Pool<Anon> anon_pool_;
-  sim::Pool<Amap> amap_pool_;
-  sim::PoolResource amap_node_pool_;       // hash-amap nodes + buckets
-  sim::PoolResource map_entry_pool_;       // every UvmMap's entry nodes
-  sim::PoolResource pagestore_chunk_pool_; // uvm-object page-store chunks
 
   std::unique_ptr<UvmAddressSpace> kernel_as_;
   std::unordered_set<Anon*> all_anons_;

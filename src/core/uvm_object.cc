@@ -11,7 +11,7 @@
 namespace uvm {
 
 UvmVnode::UvmVnode(Uvm& vm_in, vfs::Vnode* vn_in)
-    : uobj(VnodePagerOps(), &vm_in.pagestore_pool(), &vm_in.machine().stats()),
+    : uobj(VnodePagerOps(), vm_in.machine().pools(), &vm_in.machine().stats()),
       vn(vn_in),
       vm(vm_in) {
   uobj.impl = this;
@@ -178,7 +178,7 @@ class DeviceOps : public PagerOps {
 }  // namespace
 
 UvmDevice::UvmDevice(Uvm& vm_in, kern::DeviceMem* dev_in)
-    : uobj(DevicePagerOps(), &vm_in.pagestore_pool(), &vm_in.machine().stats()),
+    : uobj(DevicePagerOps(), vm_in.machine().pools(), &vm_in.machine().stats()),
       dev(dev_in),
       vm(vm_in) {
   uobj.impl = this;

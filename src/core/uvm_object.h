@@ -54,7 +54,7 @@ class PagerOps {
 class UvmObject {
  public:
   // `chunk_pool` and `stats` serve the page store (phys::PageStore).
-  UvmObject(PagerOps* ops, sim::PoolResource* chunk_pool, sim::Stats* stats)
+  UvmObject(PagerOps* ops, sim::PoolResource& chunk_pool, sim::Stats* stats)
       : pgops(ops), pages(chunk_pool, stats) {}
 
   UvmObject(const UvmObject&) = delete;

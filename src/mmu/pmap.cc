@@ -23,8 +23,6 @@ MmuContext::MmuContext(phys::PhysMem& pm)
     : pm_(pm),
       pmap_lock_(pm.machine(), "mmu.pmap", sim::LockRank::kPmap),
       pv_lock_(pm.machine(), "mmu.pv", sim::LockRank::kPv),
-      pv_pool_("mmu.pv_entry", &pm.machine().pools()),
-      pt_pool_("mmu.pt_tables", &pm.machine().pools(), /*magazine=*/1),
       pv_(pm.total_pages(), nullptr) {
   // Machine-check response (DESIGN.md §13): the moment a live frame is
   // poisoned, strip every mapping of it through the pv chain so the next
@@ -121,7 +119,7 @@ bool MmuContext::PvContains(sim::Pfn pfn, const Pmap* pmap, sim::Vaddr va) const
 
 void MmuContext::PvAdd(sim::Pfn pfn, Pmap* pmap, sim::Vaddr va) {
   sim::LockGuard g(pv_lock_);
-  pv_[pfn] = pv_pool_.New(PvEntry{pmap, va, pv_[pfn]});
+  pv_[pfn] = machine().pools().New<PvEntry>(PvEntry{pmap, va, pv_[pfn]});
 }
 
 void MmuContext::PvRemove(sim::Pfn pfn, Pmap* pmap, sim::Vaddr va) {
@@ -130,7 +128,7 @@ void MmuContext::PvRemove(sim::Pfn pfn, Pmap* pmap, sim::Vaddr va) {
   SIM_ASSERT_MSG(*link != nullptr, "pv entry missing on remove");
   PvEntry* e = *link;
   *link = e->next;
-  pv_pool_.Delete(e);
+  machine().pools().Delete(e);
 }
 
 std::size_t MmuContext::PageProtect(phys::Page* page, sim::Prot prot) {
@@ -181,7 +179,7 @@ Pmap::~Pmap() {
       ctx_.phys().Dequeue(page);
       ctx_.phys().FreePage(page);
     }
-    ctx_.pt_pool_.Delete(table);
+    ctx_.machine().pools().Delete(table);
     table = nullptr;
   }
   auto it = std::find(ctx_.pmaps_.begin(), ctx_.pmaps_.end(), this);
@@ -256,7 +254,7 @@ PtTable& Pmap::EnsureTable(sim::Vaddr va) {
     ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().ptpage_alloc_ns);
     ++ptpage_count_;
   }
-  PtTable* table = ctx_.pt_pool_.New();
+  PtTable* table = ctx_.machine().pools().New<PtTable>();
   table->ptpage = pt;
   dir_[dir_index] = table;
   if (pt != nullptr && on_ptpage_alloc_) {

@@ -12,12 +12,13 @@
 // entry (§3.2). The hook `on_ptpage_alloc` lets the BSD layer model that.
 //
 // The host layout is the i386 one too: a 1024-entry page directory indexed
-// by va >> 22, each present entry pointing at a pooled table of 1024 PTEs
-// (one per 4 KB page of its 4 MB region). A user pmap's table comes and goes
-// with its simulated page-table page; the kernel pmap, which consumes none,
-// creates its tables on first use. The directory covers 4 GB: a va at or
-// past that reads as unmapped. Every walk (range removal, protection,
-// teardown, audit) is in ascending va by construction.
+// by va >> 22, each present entry pointing at a table of 1024 PTEs (one per
+// 4 KB page of its 4 MB region) from the machine's slab pool, which carves
+// one table per refill. A user pmap's table comes and goes with its
+// simulated page-table page; the kernel pmap, which consumes none, creates
+// its tables on first use. The directory covers 4 GB: a va at or past that
+// reads as unmapped. Every walk (range removal, protection, teardown,
+// audit) is in ascending va by construction.
 #ifndef SRC_MMU_PMAP_H_
 #define SRC_MMU_PMAP_H_
 
@@ -30,7 +31,6 @@
 
 #include "src/phys/phys_mem.h"
 #include "src/sim/lock.h"
-#include "src/sim/pool.h"
 #include "src/sim/types.h"
 
 namespace mmu {
@@ -85,7 +85,7 @@ class MmuContext {
 
  private:
   friend class Pmap;
-  // pv entries are slab-allocated singly-linked chain nodes: insertion
+  // pv entries are pooled singly-linked chain nodes: insertion
   // prepends (LIFO — deterministic, and the freed node is the next one
   // reused), removal unlinks in place. No vector copies, no O(n) erase
   // shuffles on long chains.
@@ -116,13 +116,6 @@ class MmuContext {
   // BSD kmap-mirroring hook (map rank), both illegal under it.
   sim::SimLock pmap_lock_;
   sim::SimLock pv_lock_;  // leaf guarding the pv chains
-  // Declared before pv_ and used by every pmap: chains must drain (all
-  // pmaps die) before the context, so the teardown leak assert is real.
-  sim::Pool<PvEntry> pv_pool_;
-  // Every pmap's page tables; a pmap returns its own when it dies. One
-  // table per refill: a table is 8 KB, and a magazine of them would make
-  // tables resident on the host before any pmap needs them.
-  sim::Pool<PtTable> pt_pool_;
   std::vector<PvEntry*> pv_;  // per-pfn chain heads
   std::vector<Pmap*> pmaps_;  // live pmaps, in creation order
   int audit_token_ = 0;

@@ -11,7 +11,7 @@
 // structure only buys host time. Probes are counted in the stats block
 // given at construction (sim::Stats::pagestore_lookups).
 //
-// Chunks (the 4 KB leaves) are slab-allocated from the owning VM's
+// Chunks (the 4 KB leaves) are slab-allocated from the machine's
 // PoolResource, also given at construction.
 #ifndef SRC_PHYS_PAGE_STORE_H_
 #define SRC_PHYS_PAGE_STORE_H_
@@ -117,7 +117,7 @@ class PageStore {
   };
 
   // `pool` and `stats` must outlive the store.
-  PageStore(sim::PoolResource* pool, sim::Stats* stats) : stats_(stats), pool_(pool) {}
+  PageStore(sim::PoolResource& pool, sim::Stats* stats) : stats_(stats), pool_(pool) {}
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
@@ -238,17 +238,14 @@ class PageStore {
     return *it->second;
   }
 
-  Chunk* AllocChunk() { return new (pool_->Allocate(sizeof(Chunk))) Chunk{}; }
+  Chunk* AllocChunk() { return pool_.New<Chunk>(); }
 
-  void FreeChunk(Chunk* c) {
-    c->~Chunk();
-    pool_->Deallocate(c, sizeof(Chunk));
-  }
+  void FreeChunk(Chunk* c) { pool_.Delete(c); }
 
   Dir chunks_;
   std::size_t size_ = 0;
   sim::Stats* stats_;
-  sim::PoolResource* pool_;
+  sim::PoolResource& pool_;
   // Last-chunk cache: valid while the chunk exists (erase invalidates).
   mutable std::uint64_t hint_key_ = kNoChunk;
   mutable const Chunk* hint_chunk_ = nullptr;

@@ -36,10 +36,9 @@
 // the rank recorded when the entry was last found — no mutation happened
 // since (same generation), so that rank is still the modeled scan cost.
 //
-// Entry nodes are slab-allocated: the std::list runs on sim::PoolAllocator,
-// backed either by a shared per-VM PoolResource (passed by Uvm/BsdVm so
-// fork/exit churn recycles entry nodes across all maps) or by a private
-// per-map resource when none is supplied.
+// Entry nodes are slab-allocated: the std::list runs on sim::PoolAllocator
+// over the machine's pool, so fork/exit churn recycles entry nodes across
+// every map of both address-space kinds.
 #ifndef SRC_SIM_ADDR_MAP_H_
 #define SRC_SIM_ADDR_MAP_H_
 
@@ -70,18 +69,15 @@ class AddrMap {
 
   // max_entries == 0 means unlimited (user maps); the kernel map has a
   // fixed entry pool and exhausting it is fatal in a real kernel (§3.2).
-  // `entry_pool`, when given, supplies the slab storage for entry nodes
-  // (shared across a VM's maps); otherwise the map carries its own.
   // `lock_name` names the map's SimLock in the registry's per-class
   // attribution table ("uvm.map", "bsd.kmap", ...).
   AddrMap(Machine& machine, Vaddr min_addr, Vaddr max_addr, std::size_t max_entries,
-          PoolResource* entry_pool = nullptr, const char* lock_name = "map")
+          const char* lock_name = "map")
       : machine_(machine),
         min_addr_(min_addr),
         max_addr_(max_addr),
         max_entries_(max_entries),
-        own_pool_("map.entries", &machine.pools()),
-        entries_(PoolAllocator<Entry>(entry_pool != nullptr ? entry_pool : &own_pool_)),
+        entries_(PoolAllocator<Entry>(machine.pools())),
         lock_(machine, lock_name, LockRank::kMap, &machine.cost().map_lock_ns) {}
 
   AddrMap(const AddrMap&) = delete;
@@ -449,10 +445,6 @@ class AddrMap {
   Vaddr max_addr_;
   std::size_t max_entries_;
   std::size_t reserved_ = 0;  // outstanding ClipReservation headroom
-  // Fallback slab storage for entry nodes when no shared pool was passed.
-  // Lazy (no arena chunk until the first entry), and declared before
-  // entries_ so the list's nodes die first.
-  PoolResource own_pool_;
   EntryList entries_;
   // Flat sorted index over the list: starts_[i] == iters_[i]->start. A
   // binary-searched array beats a pointer-chasing tree at these sizes and

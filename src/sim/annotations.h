@@ -28,11 +28,12 @@
 //                    exhaustion must surface as a typed error — see
 //                    DESIGN.md §12.
 //  SIM_POOL_ALLOC_OK a naked `new`/`make_unique` of a pool-owned metadata
-//                    type (Anon, Amap, VmObject) inside src/ — legal only
-//                    for objects that genuinely outlive every pool. The
-//                    owning sim::Pool is the allocator everywhere else so
-//                    leak asserts, high-water stats and deterministic reuse
-//                    order hold — see DESIGN.md §14.
+//                    type (Anon, Amap, VmObject, PvEntry, PtTable) inside
+//                    src/ — legal only for objects that genuinely outlive
+//                    the machine's pool. `machine.pools().New<T>()` is the
+//                    allocator everywhere else so leak asserts, high-water
+//                    stats and deterministic reuse order hold — see
+//                    DESIGN.md §14.
 //  SIM_POISON_WRITE_OK a direct write to phys::Page::poisoned outside
 //                    phys::PhysMem's injection entry points (e.g. a test
 //                    deliberately corrupting state to prove the auditor

@@ -41,8 +41,9 @@ class Machine {
   const PressureEngine& pressure() const { return pressure_; }
   Auditor& auditor() { return auditor_; }
   const Auditor& auditor() const { return auditor_; }
-  PoolRegistry& pools() { return pools_; }
-  const PoolRegistry& pools() const { return pools_; }
+  // The one slab pool every pooled structure of this machine comes from.
+  PoolResource& pools() { return pools_; }
+  const PoolResource& pools() const { return pools_; }
   LockRegistry& locks() { return locks_; }
   const LockRegistry& locks() const { return locks_; }
   Scheduler& scheduler() { return scheduler_; }
@@ -97,12 +98,11 @@ class Machine {
   Clock clock_;
   CostModel cost_;
   Stats stats_;
-  // Declared before every subsystem that might one day own pools here; the
-  // registry only holds non-owning pointers, registered pools must die
-  // before the machine.
-  PoolRegistry pools_;
-  // Same non-owning contract for locks: every sim::SimLock registers here
-  // and must be destroyed (unheld) before the machine.
+  // Every layer built on this machine returns its blocks before the machine
+  // dies; a block still live here trips the pool's leak assert.
+  PoolResource pools_;
+  // Non-owning: every sim::SimLock registers here and must be destroyed
+  // (unheld) before the machine.
   LockRegistry locks_;
   // Declared after the clock and lock registry it multiplexes. Inert
   // (single-CPU) unless Configure(ncpus > 1, seed) is called.

@@ -164,8 +164,7 @@ void SwapDevice::RetireSlot(std::int32_t slot) {
   }
 }
 
-int SwapDevice::WriteRun(std::int32_t first,
-                         std::span<std::span<std::byte, sim::kPageSize>> pages) {
+int SwapDevice::WriteRun(std::int32_t first, std::span<const ConstPageBytes> pages) {
   for (std::size_t i = 0; i < pages.size(); ++i) {
     SIM_ASSERT(IsUsed(first + static_cast<std::int32_t>(i)));
   }
@@ -180,8 +179,7 @@ int SwapDevice::WriteRun(std::int32_t first,
   return sim::kOk;
 }
 
-int SwapDevice::ReadRun(std::int32_t first,
-                        std::span<std::span<std::byte, sim::kPageSize>> pages) {
+int SwapDevice::ReadRun(std::int32_t first, std::span<const PageBytes> pages) {
   for (std::size_t i = 0; i < pages.size(); ++i) {
     SIM_ASSERT(IsUsed(first + static_cast<std::int32_t>(i)));
   }
@@ -196,26 +194,7 @@ int SwapDevice::ReadRun(std::int32_t first,
   return sim::kOk;
 }
 
-int SwapDevice::WriteSlot(std::int32_t slot, std::span<const std::byte, sim::kPageSize> src) {
-  SIM_ASSERT(IsUsed(slot));
-  if (int err = disk_.WriteOp(1, static_cast<std::uint64_t>(slot)); err != sim::kOk) {
-    return err;
-  }
-  std::memcpy(SlotData(slot), src.data(), sim::kPageSize);
-  return sim::kOk;
-}
-
-int SwapDevice::ReadSlot(std::int32_t slot, std::span<std::byte, sim::kPageSize> dst) {
-  SIM_ASSERT(IsUsed(slot));
-  if (int err = disk_.ReadOp(1, static_cast<std::uint64_t>(slot)); err != sim::kOk) {
-    return err;
-  }
-  std::memcpy(dst.data(), SlotData(slot), sim::kPageSize);
-  return sim::kOk;
-}
-
-int SwapDevice::WriteRunRemapping(std::int32_t* first,
-                                  std::span<std::span<std::byte, sim::kPageSize>> pages) {
+int SwapDevice::WriteRunRemapping(std::int32_t* first, std::span<const ConstPageBytes> pages) {
   const sim::FaultInjector& inj = disk_.machine().faults();
   const std::size_t n = pages.size();
   for (int attempt = 0; attempt < kMaxRemapAttempts; ++attempt) {
@@ -260,14 +239,6 @@ int SwapDevice::WriteRunRemapping(std::int32_t* first,
     *first = moved;
   }
   return sim::kErrIO;
-}
-
-int SwapDevice::WriteSlotRemapping(std::int32_t* slot,
-                                   std::span<const std::byte, sim::kPageSize> src) {
-  std::byte* data = const_cast<std::byte*>(src.data());
-  std::span<std::byte, sim::kPageSize> page{data, sim::kPageSize};
-  std::span<std::span<std::byte, sim::kPageSize>> pages{&page, 1};
-  return WriteRunRemapping(slot, pages);
 }
 
 }  // namespace swp

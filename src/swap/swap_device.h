@@ -30,6 +30,10 @@ namespace swp {
 
 inline constexpr std::int32_t kNoSlot = -1;
 
+// The host memory of one frame, as the transfer paths read or write it.
+using PageBytes = std::span<std::byte, sim::kPageSize>;
+using ConstPageBytes = std::span<const std::byte, sim::kPageSize>;
+
 class SwapDevice {
  public:
   SwapDevice(sim::Machine& machine, std::size_t num_slots)
@@ -77,16 +81,14 @@ class SwapDevice {
   void FreeSlot(std::int32_t slot);
   void FreeRange(std::int32_t first, std::size_t n);
 
-  // One I/O operation transferring `n` contiguous slots starting at `first`.
-  // Each element of `pages` is the host memory of one frame. Returns
-  // sim::kOk or sim::kErrIO; a failed read leaves `pages` untouched, a
-  // failed write leaves the slot contents untouched.
-  int WriteRun(std::int32_t first, std::span<std::span<std::byte, sim::kPageSize>> pages);
-  int ReadRun(std::int32_t first, std::span<std::span<std::byte, sim::kPageSize>> pages);
-
-  // Single-slot convenience wrappers (one I/O operation each).
-  int WriteSlot(std::int32_t slot, std::span<const std::byte, sim::kPageSize> src);
-  int ReadSlot(std::int32_t slot, std::span<std::byte, sim::kPageSize> dst);
+  // One I/O operation transferring `pages.size()` contiguous slots starting
+  // at `first`. Each element of `pages` is the host memory of one frame.
+  // Returns sim::kOk or sim::kErrIO; a failed read leaves `pages` untouched,
+  // a failed write leaves the slot contents untouched.
+  int WriteRun(std::int32_t first, std::span<const ConstPageBytes> pages);
+  int ReadRun(std::int32_t first, std::span<const PageBytes> pages);
+  // The one-slot read: ReadRun of a single page.
+  int ReadSlot(std::int32_t slot, PageBytes dst) { return ReadRun(slot, {&dst, 1}); }
 
   // Write with bad-block remapping: like WriteRun on `*first`, but when the
   // device reports a *permanent* fault the now-bad slots are retired
@@ -97,11 +99,11 @@ class SwapDevice {
   //                   caller may retry later;
   //   sim::kErrNoSwap — ran out of replacement slots; `*first` = kNoSlot
   //                   and the original run has been freed.
-  int WriteRunRemapping(std::int32_t* first,
-                        std::span<std::span<std::byte, sim::kPageSize>> pages);
-  // Single-slot version (used by the BSD swap pager's one-I/O-per-page
-  // path). Same contract with n = 1.
-  int WriteSlotRemapping(std::int32_t* slot, std::span<const std::byte, sim::kPageSize> src);
+  int WriteRunRemapping(std::int32_t* first, std::span<const ConstPageBytes> pages);
+  // The one-slot version (the BSD swap pager's one-I/O-per-page path).
+  int WriteSlotRemapping(std::int32_t* slot, ConstPageBytes src) {
+    return WriteRunRemapping(slot, {&src, 1});
+  }
 
   // Both panic on a slot outside [0, total_slots()).
   bool IsUsed(std::int32_t slot) const { return Bit(used_, Index(slot)); }

@@ -16,8 +16,10 @@ using harness::World;
 class AmapImplTest : public ::testing::TestWithParam<uvm::AmapImplPolicy> {
  protected:
   std::unique_ptr<uvm::AmapImpl> Make(std::uint64_t nslots) {
-    return uvm::MakeAmapImpl(GetParam(), nslots);
+    return uvm::MakeAmapImpl(GetParam(), nslots, nodes_);
   }
+
+  sim::PoolResource nodes_;
 };
 
 TEST_P(AmapImplTest, StartsEmpty) {
@@ -95,8 +97,9 @@ INSTANTIATE_TEST_SUITE_P(AllImpls, AmapImplTest,
                          });
 
 TEST(AmapPolicyTest, HybridPicksBySize) {
-  auto small = uvm::MakeAmapImpl(uvm::AmapImplPolicy::kHybrid, 16);
-  auto large = uvm::MakeAmapImpl(uvm::AmapImplPolicy::kHybrid, 1u << 16);
+  sim::PoolResource nodes;
+  auto small = uvm::MakeAmapImpl(uvm::AmapImplPolicy::kHybrid, 16, nodes);
+  auto large = uvm::MakeAmapImpl(uvm::AmapImplPolicy::kHybrid, 1u << 16, nodes);
   EXPECT_STREQ("array", small->kind());
   EXPECT_STREQ("hash", large->kind());
 }

@@ -262,12 +262,12 @@ TEST(PageStoreTest, MatchesStdMapPooled) {
   for (int i = 0; i < 6; ++i) {
     sparse.push_back(kSparse + rng.Below(kChunk));
   }
-  sim::PoolResource pool("test.pagestore");
+  sim::PoolResource pool;
   sim::Stats stats;
   {
     using Ref = std::map<std::uint64_t, phys::Page*>;
     using Entries = std::vector<std::pair<std::uint64_t, phys::Page*>>;
-    phys::PageStore store(&pool, &stats);
+    phys::PageStore store(pool, &stats);
     Ref ref;
     auto same = [&](phys::PageStore::const_iterator it, Ref::const_iterator want) {
       if (want == ref.end()) {
@@ -342,9 +342,9 @@ TEST(PageStoreTest, MatchesStdMapPooled) {
     for (const auto& [key, page] : ref) {
       chunks.insert(key >> phys::PageStore::kChunkShift);
     }
-    EXPECT_EQ(chunks.size(), pool.stats().live);
+    EXPECT_EQ(chunks.size(), pool.Aggregate().live);
   }
-  EXPECT_EQ(0u, pool.stats().live);  // every chunk went back to the pool
+  EXPECT_EQ(0u, pool.Aggregate().live);  // every chunk went back to the pool
 }
 
 }  // namespace

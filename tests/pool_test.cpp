@@ -1,16 +1,17 @@
 // The slab/arena allocation layer (src/sim/pool.h, DESIGN.md §14):
-// determinism guarantees (LIFO reuse, ascending-address magazines), stats
-// accounting, size-class routing, heap fallback, the teardown leak assert,
-// and whole-simulator double-run identity with every pool engaged.
+// determinism guarantees (LIFO reuse, ascending addresses within a slab),
+// stats accounting, size-class routing and refill sizes, the teardown leak
+// assert, and whole-simulator double-run identity with every pooled
+// structure going through the machine's one resource.
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/harness/world.h"
 #include "src/kern/fleet.h"
+#include "src/mmu/pmap.h"
 #include "src/sim/pool.h"
 
 namespace {
@@ -23,26 +24,30 @@ struct Widget {
   std::uint64_t b = 0;
 };
 
+// Widgets per refill: a 16-byte class fills one slab.
+constexpr std::size_t kWidgetsPerSlab = sim::PoolResource::kSlabBytes / sizeof(Widget);
+
 TEST(PoolTest, LifoReuseReturnsLastFreedBlock) {
-  sim::Pool<Widget> pool("test.widget");
-  Widget* x = pool.New();
-  Widget* y = pool.New();
+  sim::PoolResource pool;
+  Widget* x = pool.New<Widget>();
+  Widget* y = pool.New<Widget>();
   pool.Delete(x);
   // Strict LIFO: the freed block is the very next one handed out.
-  Widget* z = pool.New();
+  Widget* z = pool.New<Widget>();
   EXPECT_EQ(x, z);
   pool.Delete(y);
   pool.Delete(z);
 }
 
 TEST(PoolTest, MagazinesHandOutAscendingAddresses) {
-  sim::Pool<Widget> pool("test.widget");
+  sim::PoolResource pool;
   std::vector<Widget*> blocks;
-  for (std::size_t i = 0; i < sim::PoolBase::kDefaultMagazine; ++i) {
-    blocks.push_back(pool.New());
+  for (std::size_t i = 0; i < kWidgetsPerSlab; ++i) {
+    blocks.push_back(pool.New<Widget>());
   }
-  // One magazine, carved back-to-front onto the freelist: consecutive Gets
-  // walk the slab in ascending address order.
+  EXPECT_EQ(pool.Aggregate().slab_refills, 1u);
+  // One slab, carved back-to-front onto the freelist: consecutive News
+  // walk it in ascending address order.
   for (std::size_t i = 1; i < blocks.size(); ++i) {
     EXPECT_LT(blocks[i - 1], blocks[i]) << "block " << i << " out of order";
   }
@@ -52,96 +57,103 @@ TEST(PoolTest, MagazinesHandOutAscendingAddresses) {
 }
 
 TEST(PoolTest, StatsCountAllocsFreesRefillsHighWater) {
-  sim::Pool<Widget> pool("test.widget");
-  const std::size_t mag = sim::PoolBase::kDefaultMagazine;
+  sim::PoolResource pool;
+  const std::size_t n = kWidgetsPerSlab + 1;  // force a second refill
   std::vector<Widget*> blocks;
-  for (std::size_t i = 0; i < mag + 1; ++i) {  // force a second refill
-    blocks.push_back(pool.New());
+  for (std::size_t i = 0; i < n; ++i) {
+    blocks.push_back(pool.New<Widget>());
   }
-  EXPECT_EQ(pool.stats().allocs, mag + 1);
-  EXPECT_EQ(pool.stats().live, mag + 1);
-  EXPECT_EQ(pool.stats().high_water, mag + 1);
-  EXPECT_EQ(pool.stats().slab_refills, 2u);
+  EXPECT_EQ(pool.Aggregate().allocs, n);
+  EXPECT_EQ(pool.Aggregate().live, n);
+  EXPECT_EQ(pool.Aggregate().high_water, n);
+  EXPECT_EQ(pool.Aggregate().slab_refills, 2u);
   for (Widget* w : blocks) {
     pool.Delete(w);
   }
-  EXPECT_EQ(pool.stats().frees, mag + 1);
-  EXPECT_EQ(pool.stats().live, 0u);
-  EXPECT_EQ(pool.stats().high_water, mag + 1);  // high water is sticky
+  EXPECT_EQ(pool.Aggregate().frees, n);
+  EXPECT_EQ(pool.Aggregate().live, 0u);
+  EXPECT_EQ(pool.Aggregate().high_water, n);  // high water is sticky
   // Churn after the drain reuses freelist blocks: no new refill.
-  Widget* w = pool.New();
+  Widget* w = pool.New<Widget>();
   pool.Delete(w);
-  EXPECT_EQ(pool.stats().slab_refills, 2u);
+  EXPECT_EQ(pool.Aggregate().slab_refills, 2u);
 }
 
 TEST(PoolResourceTest, SizeClassesAreSharedAndLifo) {
-  sim::PoolResource res("test.resource");
+  sim::PoolResource res;
   void* a = res.Allocate(24);  // rounds to the 32-byte class
   void* b = res.Allocate(32);  // same class
   res.Deallocate(a, 24);
   void* c = res.Allocate(30);  // same class again: LIFO returns a
   EXPECT_EQ(a, c);
-  EXPECT_EQ(res.size_class_count(), 1u);
+  // A typed object of the same size shares the class (and its slab).
+  auto* pair = res.New<std::pair<Widget, Widget>>();
+  EXPECT_EQ(res.Aggregate().slab_refills, 1u);
   void* d = res.Allocate(2000);  // a large class (1 KB steps)
-  EXPECT_EQ(res.size_class_count(), 2u);
+  EXPECT_EQ(res.Aggregate().slab_refills, 2u);
   res.Deallocate(b, 32);
   res.Deallocate(c, 30);
+  res.Delete(pair);
   res.Deallocate(d, 2000);
-  EXPECT_EQ(res.stats().live, 0u);
-  EXPECT_EQ(res.stats().allocs, 4u);
-  EXPECT_EQ(res.stats().frees, 4u);
+  EXPECT_EQ(res.Aggregate().live, 0u);
+  EXPECT_EQ(res.Aggregate().allocs, 5u);
+  EXPECT_EQ(res.Aggregate().frees, 5u);
+}
+
+TEST(PoolResourceTest, PageTablesRefillOneAtATime) {
+  // An 8 KB page table is the only block of its class a refill carves, so
+  // no table is made resident on the host before a pmap asks for it.
+  sim::PoolResource res;
+  mmu::PtTable* a = res.New<mmu::PtTable>();
+  EXPECT_EQ(res.Aggregate().slab_refills, 1u);
+  mmu::PtTable* b = res.New<mmu::PtTable>();
+  EXPECT_EQ(res.Aggregate().slab_refills, 2u);
+  res.Delete(a);
+  mmu::PtTable* c = res.New<mmu::PtTable>();
+  EXPECT_EQ(a, c);
+  EXPECT_EQ(res.Aggregate().slab_refills, 2u);
+  res.Delete(b);
+  res.Delete(c);
 }
 
 TEST(PoolResourceTest, HugeBlocksBypassTheArena) {
-  sim::PoolResource res("test.resource");
+  sim::PoolResource res;
   const std::size_t huge = sim::PoolResource::kDirectBytes + 1;
   void* p = res.Allocate(huge);
   ASSERT_NE(p, nullptr);
   // Direct allocations are counted but never pin arena chunks.
   EXPECT_EQ(res.arena_bytes(), 0u);
-  EXPECT_EQ(res.stats().allocs, 1u);
+  EXPECT_EQ(res.Aggregate().allocs, 1u);
   res.Deallocate(p, huge);
-  EXPECT_EQ(res.stats().live, 0u);
-}
-
-TEST(PoolAllocatorTest, NullResourceFallsBackToHeap) {
-  // Containers in contexts without a Machine (standalone tests) keep
-  // working with a default-constructed allocator.
-  using Alloc = sim::PoolAllocator<std::pair<const int, int>>;
-  std::map<int, int, std::less<int>, Alloc> m;
-  for (int i = 0; i < 100; ++i) {
-    m[i] = i * i;
-  }
-  EXPECT_EQ(m.size(), 100u);
-  EXPECT_EQ(m[9], 81);
+  EXPECT_EQ(res.Aggregate().live, 0u);
 }
 
 TEST(PoolAllocatorTest, PooledMapDrainsItsResource) {
-  sim::PoolResource res("test.map_nodes");
+  sim::PoolResource res;
   {
     using Alloc = sim::PoolAllocator<std::pair<const int, int>>;
-    std::map<int, int, std::less<int>, Alloc> m{Alloc(&res)};
+    std::map<int, int, std::less<int>, Alloc> m{Alloc(res)};
     for (int i = 0; i < 1000; ++i) {
       m[i] = i;
     }
-    EXPECT_GE(res.stats().live, 1000u);
+    EXPECT_GE(res.Aggregate().live, 1000u);
   }
   // The map's teardown returned every node; the leak assert in ~PoolResource
   // would abort otherwise.
-  EXPECT_EQ(res.stats().live, 0u);
-  EXPECT_EQ(res.stats().allocs, res.stats().frees);
+  EXPECT_EQ(res.Aggregate().live, 0u);
+  EXPECT_EQ(res.Aggregate().allocs, res.Aggregate().frees);
 }
 
 TEST(PoolDeathTest, LeakedBlockAssertsAtTeardown) {
   EXPECT_DEATH(
       {
-        sim::Pool<Widget> pool("test.leaky");
-        (void)pool.New();  // never deleted
+        sim::PoolResource pool;
+        (void)pool.New<Widget>();  // never deleted
       },
       "slab blocks still live at teardown");
 }
 
-TEST(PoolRegistryTest, MachineRegistryAggregatesVmPools) {
+TEST(MachinePoolsTest, AggregateCoversAFleetRun) {
   for (VmKind kind : {VmKind::kBsd, VmKind::kUvm}) {
     World w(kind);
     kern::FleetConfig cfg;
@@ -150,16 +162,10 @@ TEST(PoolRegistryTest, MachineRegistryAggregatesVmPools) {
     const kern::FleetCounters& c = fleet.Run();
     EXPECT_GE(c.ops, cfg.target_ops);
     sim::PoolStats agg = w.machine.pools().Aggregate();
-    EXPECT_GT(agg.allocs, 0u) << "no metadata allocation went through the pools";
+    EXPECT_GT(agg.allocs, 0u) << "no metadata allocation went through the pool";
     EXPECT_GT(agg.slab_refills, 0u);
     EXPECT_GE(agg.high_water, agg.live);
     EXPECT_EQ(agg.live, agg.allocs - agg.frees);
-    // Named pools appear in creation order; both VMs pool their map entries.
-    std::set<std::string> names;
-    w.machine.pools().ForEachPool([&](const sim::PoolBase& p) { names.insert(p.name()); });
-    w.machine.pools().ForEachResource(
-        [&](const sim::PoolResource& r) { names.insert(r.name()); });
-    EXPECT_FALSE(names.empty());
   }
 }
 

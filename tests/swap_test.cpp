@@ -24,6 +24,12 @@ class SwapTest : public ::testing::Test {
     a.fill(fill);
     return a;
   }
+
+  // A one-page run: one I/O operation.
+  int WriteOne(std::int32_t slot, const std::array<std::byte, sim::kPageSize>& page) {
+    const swp::ConstPageBytes src(page);
+    return sd.WriteRun(slot, {&src, 1});
+  }
 };
 
 TEST_F(SwapTest, AllocFreeAccounting) {
@@ -86,7 +92,7 @@ TEST_F(SwapTest, ContigOversizeFails) {
 TEST_F(SwapTest, SingleSlotRoundTrip) {
   std::int32_t s = sd.AllocSlot();
   auto page = MakePage(std::byte{0x3c});
-  sd.WriteSlot(s, page);
+  WriteOne(s, page);
   auto back = MakePage(std::byte{0});
   sd.ReadSlot(s, back);
   EXPECT_EQ(page, back);
@@ -100,7 +106,7 @@ TEST_F(SwapTest, UnwrittenSlotReadsZeros) {
   std::int32_t first = sd.AllocContig(3);
   ASSERT_NE(swp::kNoSlot, first);
   auto page = MakePage(std::byte{0x3c});
-  ASSERT_EQ(sim::kOk, sd.WriteSlot(first + 1, page));
+  ASSERT_EQ(sim::kOk, WriteOne(first + 1, page));
   for (std::int32_t s : {first, first + 2}) {
     auto back = MakePage(std::byte{0xff});
     ASSERT_EQ(sim::kOk, sd.ReadSlot(s, back));
@@ -111,7 +117,7 @@ TEST_F(SwapTest, UnwrittenSlotReadsZeros) {
 TEST_F(SwapTest, RunRoundTripIsOneOperation) {
   std::int32_t first = sd.AllocContig(4);
   std::array<std::array<std::byte, sim::kPageSize>, 4> pages;
-  std::vector<std::span<std::byte, sim::kPageSize>> spans;
+  std::vector<swp::ConstPageBytes> spans;
   for (int i = 0; i < 4; ++i) {
     pages[i].fill(std::byte(0x10 + i));
     spans.emplace_back(pages[i]);
@@ -142,12 +148,12 @@ TEST_F(SwapTest, ClusteredWriteIsCheaperThanSingles) {
   auto page = MakePage(std::byte{1});
   sim::Nanoseconds t0 = machine.clock().now();
   for (int i = 0; i < 8; ++i) {
-    sd.WriteSlot(run + i, page);
+    WriteOne(run + i, page);
   }
   sim::Nanoseconds singles = machine.clock().now() - t0;
 
   std::vector<std::array<std::byte, sim::kPageSize>> storage(8);
-  std::vector<std::span<std::byte, sim::kPageSize>> spans;
+  std::vector<swp::ConstPageBytes> spans;
   for (auto& s : storage) {
     s.fill(std::byte{2});
     spans.emplace_back(s);
@@ -188,7 +194,7 @@ TEST_F(SwapTest, PermanentWriteFaultRetiresSlotAndRemaps) {
   std::int32_t first = sd.AllocContig(4);
   ASSERT_EQ(0, first);
   std::array<std::array<std::byte, sim::kPageSize>, 4> pages;
-  std::vector<std::span<std::byte, sim::kPageSize>> spans;
+  std::vector<swp::ConstPageBytes> spans;
   for (int i = 0; i < 4; ++i) {
     pages[i].fill(std::byte(0x20 + i));
     spans.emplace_back(pages[i]);
@@ -231,7 +237,7 @@ TEST_F(SwapTest, PermanentWriteFaultRetiresSlotAndRemaps) {
 TEST_F(SwapTest, TransientWriteFaultLeavesRunForRetry) {
   std::int32_t first = sd.AllocContig(2);
   std::array<std::array<std::byte, sim::kPageSize>, 2> pages;
-  std::vector<std::span<std::byte, sim::kPageSize>> spans;
+  std::vector<swp::ConstPageBytes> spans;
   for (int i = 0; i < 2; ++i) {
     pages[i].fill(std::byte(0x7a + i));
     spans.emplace_back(pages[i]);
@@ -315,9 +321,9 @@ TEST_F(SwapTest, RemappingWithNoReplacementRunCountsSwapFull) {
   machine.faults().SetPlan(sim::IoDevice::kSwapDisk, plan);
   auto p0 = MakePage(std::byte{0xaa});
   auto p1 = MakePage(std::byte{0xbb});
-  std::array<std::span<std::byte, sim::kPageSize>, 2> spans{std::span(p0), std::span(p1)};
+  std::array<swp::ConstPageBytes, 2> spans{swp::ConstPageBytes(p0), swp::ConstPageBytes(p1)};
   std::int32_t where = first;
-  EXPECT_EQ(sim::kErrNoSwap, sd.WriteRunRemapping(&where, std::span(spans)));
+  EXPECT_EQ(sim::kErrNoSwap, sd.WriteRunRemapping(&where, spans));
   EXPECT_EQ(swp::kNoSlot, where);
   EXPECT_EQ(1u, machine.stats().swap_full_events);
   EXPECT_GT(sd.bad_slots(), 0u);

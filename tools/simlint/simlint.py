@@ -721,16 +721,18 @@ def rule_pool_fatal(repo: Repo) -> list:
 
 
 # Metadata types owned by the slab layer (DESIGN.md §14). Inside src/ they
-# must come from their owning sim::Pool — a naked heap allocation bypasses
-# the pool's leak accounting, high-water stats, and deterministic reuse
-# order. bench/ and tests/ stay legal: heap baselines and standalone
-# fixtures construct these types directly on purpose.
-POOLED_TYPES = ("Anon", "Amap", "VmObject")
+# must come from the machine's pool, `machine.pools().New<T>()` — a naked
+# heap allocation bypasses the pool's leak accounting, high-water stats,
+# and deterministic reuse order. bench/ and tests/ stay legal: heap
+# baselines and standalone fixtures construct these types directly on
+# purpose.
+POOLED_TYPES = ("Anon", "Amap", "VmObject", "PvEntry", "PtTable")
+POOLED_PREFIX = r"(?:uvm::|bsdvm::|mmu::)?"
 POOL_NAKED_NEW_RE = re.compile(
-    r"\bnew\s+(?:uvm::|bsdvm::)?(?:" + "|".join(POOLED_TYPES) + r")\b"
+    r"\bnew\s+" + POOLED_PREFIX + r"(?:" + "|".join(POOLED_TYPES) + r")\b"
 )
 POOL_NAKED_MAKE_RE = re.compile(
-    r"\bstd::make_unique\s*<\s*(?:uvm::|bsdvm::)?(?:" + "|".join(POOLED_TYPES) + r")\s*>"
+    r"\bstd::make_unique\s*<\s*" + POOLED_PREFIX + r"(?:" + "|".join(POOLED_TYPES) + r")\s*>"
 )
 
 
@@ -752,11 +754,11 @@ def rule_pool_naked_alloc(repo: Repo) -> list:
                         line=line_of(sf.stripped, m.start()),
                         message=(
                             "naked heap allocation of a pool-owned metadata type "
-                            f"({', '.join(POOLED_TYPES)}): allocate through the owning "
-                            "sim::Pool (uvm.anon/uvm.amap/bsd.object) so leak asserts, "
+                            f"({', '.join(POOLED_TYPES)}): allocate through "
+                            "machine.pools().New<T>() so leak asserts, "
                             "high-water stats and deterministic reuse order hold "
                             "(DESIGN.md §14); annotate SIM_POOL_ALLOC_OK(reason) only "
-                            "for objects that genuinely outlive every pool"
+                            "for objects that genuinely outlive the machine's pool"
                         ),
                     )
                 )

@@ -1,5 +1,5 @@
 // Fixture: naked heap allocations of pool-owned metadata types that must
-// be flagged — the owning sim::Pool is the only legal allocator in src/.
+// be flagged — machine.pools().New<T>() is the only legal allocator in src/.
 #include "src/sim/rng.h"
 
 namespace uvm {
@@ -9,6 +9,10 @@ struct Amap {};
 namespace bsdvm {
 class VmObject {};
 }  // namespace bsdvm
+namespace mmu {
+struct PvEntry {};
+struct PtTable {};
+}  // namespace mmu
 
 namespace core {
 
@@ -26,6 +30,14 @@ void* LeakObject() {
 
 auto LeakUnique() {
   return std::make_unique<uvm::Anon>();  // LINE-NAKED-MAKE-UNIQUE
+}
+
+void* LeakPvEntry() {
+  return new mmu::PvEntry{};  // LINE-NAKED-NEW-PV
+}
+
+void* LeakPageTable() {
+  return new mmu::PtTable();  // LINE-NAKED-NEW-PTTABLE
 }
 
 }  // namespace core

@@ -66,6 +66,8 @@ class SimlintFixtureTest(unittest.TestCase):
             self.expect("pool-naked-alloc", "src/core/bad_pool_alloc.cc", "NAKED-NEW-AMAP"),
             self.expect("pool-naked-alloc", "src/core/bad_pool_alloc.cc", "NAKED-NEW-OBJECT"),
             self.expect("pool-naked-alloc", "src/core/bad_pool_alloc.cc", "NAKED-MAKE-UNIQUE"),
+            self.expect("pool-naked-alloc", "src/core/bad_pool_alloc.cc", "NAKED-NEW-PV"),
+            self.expect("pool-naked-alloc", "src/core/bad_pool_alloc.cc", "NAKED-NEW-PTTABLE"),
             self.expect("poison-direct-write", "src/core/bad_poison.cc", "POISON-ARROW"),
             self.expect("poison-direct-write", "src/core/bad_poison.cc", "POISON-DOT"),
             self.expect("naked-lock-charge", "src/core/bad_lock.cc", "NAKED-CHARGE"),
